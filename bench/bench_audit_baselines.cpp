@@ -50,7 +50,7 @@ void PrintReproduction() {
         std::move(TupleGenerator::Create("p", family, &device).value());
     MerkleAuditAccumulator baseline;
     for (size_t i = 0; i < n; ++i) {
-      Bytes value = ToBytes("t" + std::to_string(i));
+      Bytes value = ToBytes(std::string("t").append(std::to_string(i)));
       (void)tg.Issue(value);
       baseline.Record(MerkleTupleHash(value));
     }
@@ -68,7 +68,7 @@ void PrintReproduction() {
     MerkleAuditAccumulator baseline;
     Dataset data;
     for (size_t i = 0; i < n; ++i) {
-      Bytes value = ToBytes("t" + std::to_string(i));
+      Bytes value = ToBytes(std::string("t").append(std::to_string(i)));
       data.Add(tg.Issue(value).value());
       baseline.Record(MerkleTupleHash(value));
     }
@@ -139,14 +139,17 @@ void BM_MerkleRecord(benchmark::State& state) {
   size_t preload = static_cast<size_t>(state.range(0));
   MerkleAuditAccumulator baseline;
   for (size_t i = 0; i < preload; ++i) {
-    baseline.Record(MerkleTupleHash(ToBytes("t" + std::to_string(i))));
+    baseline.Record(
+        MerkleTupleHash(ToBytes(std::string("t").append(std::to_string(i)))));
   }
   Bytes h = MerkleTupleHash(ToBytes("new-tuple"));
   for (auto _ : state) {
     baseline.Record(h);
   }
   state.SetItemsProcessed(state.iterations());
-  state.SetLabel("sorted insert into " + std::to_string(preload) + " leaves");
+  state.SetLabel(std::string("sorted insert into ")
+                     .append(std::to_string(preload))
+                     .append(" leaves"));
 }
 BENCHMARK(BM_MerkleRecord)->Arg(1000)->Arg(10000);
 
@@ -155,7 +158,7 @@ void BM_MerkleAudit(benchmark::State& state) {
   MerkleAuditAccumulator baseline;
   Dataset data;
   for (size_t i = 0; i < n; ++i) {
-    Bytes value = ToBytes("t" + std::to_string(i));
+    Bytes value = ToBytes(std::string("t").append(std::to_string(i)));
     data.Add(Tuple(value));
     baseline.Record(MerkleTupleHash(value));
   }
@@ -170,7 +173,7 @@ BENCHMARK(BM_MerkleAudit)->Arg(100)->Arg(1000)->Arg(10000);
 void BM_MerkleProof(benchmark::State& state) {
   std::vector<Bytes> leaves;
   for (int i = 0; i < 4096; ++i) {
-    leaves.push_back(ToBytes("leaf" + std::to_string(i)));
+    leaves.push_back(ToBytes(std::string("leaf").append(std::to_string(i))));
   }
   crypto::MerkleTree tree = crypto::MerkleTree::Build(leaves);
   for (auto _ : state) {

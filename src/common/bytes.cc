@@ -95,7 +95,8 @@ Result<Bytes> ReadLengthPrefixed(const Bytes& src, size_t* offset) {
   return out;
 }
 
-bool ConstantTimeEqual(const Bytes& a, const Bytes& b) {
+bool ConstantTimeEqual(std::span<const uint8_t> a,
+                       std::span<const uint8_t> b) {
   if (a.size() != b.size()) return false;
   uint8_t diff = 0;
   for (size_t i = 0; i < a.size(); ++i) diff |= a[i] ^ b[i];

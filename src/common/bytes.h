@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -50,9 +51,23 @@ void AppendLengthPrefixed(Bytes& dst, const Bytes& payload);
 /// Fails if the buffer is truncated.
 Result<Bytes> ReadLengthPrefixed(const Bytes& src, size_t* offset);
 
+/// Lexicographic three-way comparison of byte strings (a shorter
+/// prefix sorts first): negative, zero or positive like memcmp. The
+/// same order as `std::vector`'s own <=>, which GCC 12 at -O3 misreads
+/// inside std::sort as an unbounded memcmp (-Wstringop-overread).
+/// Inline: sorts and binary searches of tuples call it per comparison.
+inline int CompareBytes(const Bytes& a, const Bytes& b) {
+  const size_t common = a.size() < b.size() ? a.size() : b.size();
+  if (common > 0) {
+    const int c = std::memcmp(a.data(), b.data(), common);
+    if (c != 0) return c;
+  }
+  return a.size() < b.size() ? -1 : (a.size() > b.size() ? 1 : 0);
+}
+
 /// Constant-time equality (length leaks, contents do not). Use for
 /// comparing MACs and hash commitments.
-bool ConstantTimeEqual(const Bytes& a, const Bytes& b);
+bool ConstantTimeEqual(std::span<const uint8_t> a, std::span<const uint8_t> b);
 
 }  // namespace hsis
 

@@ -1,7 +1,6 @@
 #include "crypto/authenticated_cipher.h"
 
 #include "crypto/chacha20.h"
-#include "crypto/hmac_sha256.h"
 
 namespace hsis::crypto {
 
@@ -12,18 +11,20 @@ Result<AuthenticatedCipher> AuthenticatedCipher::Create(
   }
   Bytes enc_key = DeriveKey(master_key, "hsis.aead.enc", kKeySize);
   Bytes mac_key = DeriveKey(master_key, "hsis.aead.mac", kKeySize);
-  return AuthenticatedCipher(std::move(enc_key), std::move(mac_key));
+  return AuthenticatedCipher(std::move(enc_key), mac_key);
 }
 
-Bytes AuthenticatedCipher::ComputeTag(const Bytes& nonce,
-                                      const Bytes& ciphertext,
+Bytes AuthenticatedCipher::ComputeTag(std::span<const uint8_t> nonce,
+                                      std::span<const uint8_t> ciphertext,
                                       const Bytes& aad) const {
-  Bytes mac_input;
-  AppendUint64BE(mac_input, aad.size());
-  Append(mac_input, aad);
-  Append(mac_input, nonce);
-  Append(mac_input, ciphertext);
-  return HmacSha256(mac_key_, mac_input);
+  HmacSha256Stream mac = mac_;
+  Bytes aad_len;
+  AppendUint64BE(aad_len, aad.size());
+  mac.Update(aad_len);
+  mac.Update(aad);
+  mac.Update(nonce.data(), nonce.size());
+  mac.Update(ciphertext.data(), ciphertext.size());
+  return mac.Finish();
 }
 
 Result<Bytes> AuthenticatedCipher::Seal(const Bytes& nonce,
@@ -32,15 +33,15 @@ Result<Bytes> AuthenticatedCipher::Seal(const Bytes& nonce,
   if (nonce.size() != kNonceSize) {
     return Status::InvalidArgument("nonce must be 12 bytes");
   }
-  HSIS_ASSIGN_OR_RETURN(Bytes ciphertext,
-                        ChaCha20::Apply(enc_key_, nonce, plaintext));
-  Bytes tag = ComputeTag(nonce, ciphertext, aad);
-
+  HSIS_ASSIGN_OR_RETURN(ChaCha20 stream, ChaCha20::Create(enc_key_, nonce));
+  // Encrypt in place inside the sealed buffer: nonce || ciphertext || tag.
   Bytes sealed;
-  sealed.reserve(nonce.size() + ciphertext.size() + tag.size());
+  sealed.reserve(kNonceSize + plaintext.size() + kTagSize);
   Append(sealed, nonce);
-  Append(sealed, ciphertext);
-  Append(sealed, tag);
+  Append(sealed, plaintext);
+  std::span<uint8_t> ciphertext(sealed.data() + kNonceSize, plaintext.size());
+  stream.Process(ciphertext.data(), ciphertext.size());
+  Append(sealed, ComputeTag(nonce, ciphertext, aad));
   return sealed;
 }
 
@@ -49,15 +50,19 @@ Result<Bytes> AuthenticatedCipher::Open(const Bytes& sealed,
   if (sealed.size() < kNonceSize + kTagSize) {
     return Status::IntegrityViolation("sealed message truncated");
   }
-  Bytes nonce(sealed.begin(), sealed.begin() + kNonceSize);
-  Bytes ciphertext(sealed.begin() + kNonceSize, sealed.end() - kTagSize);
-  Bytes tag(sealed.end() - kTagSize, sealed.end());
+  std::span<const uint8_t> whole(sealed);
+  std::span<const uint8_t> nonce = whole.first(kNonceSize);
+  std::span<const uint8_t> ciphertext =
+      whole.subspan(kNonceSize, sealed.size() - kNonceSize - kTagSize);
+  std::span<const uint8_t> tag = whole.last(kTagSize);
 
-  Bytes expected = ComputeTag(nonce, ciphertext, aad);
-  if (!ConstantTimeEqual(tag, expected)) {
+  if (!ConstantTimeEqual(tag, ComputeTag(nonce, ciphertext, aad))) {
     return Status::IntegrityViolation("authentication tag mismatch");
   }
-  return ChaCha20::Apply(enc_key_, nonce, ciphertext);
+  HSIS_ASSIGN_OR_RETURN(ChaCha20 stream, ChaCha20::Create(enc_key_, nonce));
+  Bytes plaintext(ciphertext.begin(), ciphertext.end());
+  stream.Process(plaintext);
+  return plaintext;
 }
 
 }  // namespace hsis::crypto

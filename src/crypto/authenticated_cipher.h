@@ -1,8 +1,11 @@
 #ifndef HSIS_CRYPTO_AUTHENTICATED_CIPHER_H_
 #define HSIS_CRYPTO_AUTHENTICATED_CIPHER_H_
 
+#include <span>
+
 #include "common/bytes.h"
 #include "common/result.h"
+#include "crypto/hmac_sha256.h"
 
 namespace hsis::crypto {
 
@@ -38,14 +41,17 @@ class AuthenticatedCipher {
   Result<Bytes> Open(const Bytes& sealed, const Bytes& aad) const;
 
  private:
-  AuthenticatedCipher(Bytes enc_key, Bytes mac_key)
-      : enc_key_(std::move(enc_key)), mac_key_(std::move(mac_key)) {}
+  AuthenticatedCipher(Bytes enc_key, const Bytes& mac_key)
+      : enc_key_(std::move(enc_key)), mac_(mac_key) {}
 
-  Bytes ComputeTag(const Bytes& nonce, const Bytes& ciphertext,
+  /// HMAC over aad_len || aad || nonce || ciphertext, streamed piece by
+  /// piece from where the bytes already are.
+  Bytes ComputeTag(std::span<const uint8_t> nonce,
+                   std::span<const uint8_t> ciphertext,
                    const Bytes& aad) const;
 
   Bytes enc_key_;
-  Bytes mac_key_;
+  HmacSha256Stream mac_;  // keyed with the MAC subkey, copied per tag
 };
 
 }  // namespace hsis::crypto

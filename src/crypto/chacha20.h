@@ -3,6 +3,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 
 #include "common/bytes.h"
 #include "common/result.h"
@@ -17,14 +18,20 @@ class ChaCha20 {
   static constexpr size_t kNonceSize = 12;
 
   /// Creates a cipher; fails unless key is 32 bytes and nonce 12 bytes.
-  static Result<ChaCha20> Create(const Bytes& key, const Bytes& nonce,
+  static Result<ChaCha20> Create(std::span<const uint8_t> key,
+                                 std::span<const uint8_t> nonce,
                                  uint32_t initial_counter = 0);
 
   /// XORs the keystream into `data` in place, advancing the stream.
+  /// Consecutive calls continue one keystream, whatever their lengths:
+  /// whole 64-byte blocks are XORed word by word, and a partly used
+  /// block carries over to the next call.
   void Process(Bytes& data);
+  void Process(uint8_t* data, size_t len);
 
   /// One-shot: returns `data` XOR keystream(key, nonce, counter).
-  static Result<Bytes> Apply(const Bytes& key, const Bytes& nonce,
+  static Result<Bytes> Apply(std::span<const uint8_t> key,
+                             std::span<const uint8_t> nonce,
                              const Bytes& data, uint32_t initial_counter = 0);
 
   /// The raw 64-byte block function, exposed for test vectors.

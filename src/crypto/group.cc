@@ -42,16 +42,25 @@ const PrimeGroup& PrimeGroup::SmallTestGroup() {
   return group->value();
 }
 
+U256 PrimeGroup::ReduceDigest(const U256& digest) const {
+  const U256& p = modulus();
+  if (!p.Bit(255)) return DivMod(digest, p).remainder;
+  // p >= 2^255, so digest < 2^256 <= 2p: one subtraction reduces it.
+  return digest >= p ? digest - p : digest;
+}
+
 U256 PrimeGroup::HashToElement(const Bytes& data) const {
-  Bytes input = data;
+  Bytes retry;  // data || 0x01^k, built only on the (improbable) zero
   for (int attempt = 0; attempt < 16; ++attempt) {
-    Bytes digest = Sha256::Hash(input);
-    U256 x = U256::FromBytesBE(digest);
-    x = DivMod(x, modulus()).remainder;
+    if (attempt > 0) {
+      if (retry.empty()) retry = data;
+      retry.push_back(0x01);
+    }
+    U256 x = ReduceDigest(
+        U256::FromBytesBE(Sha256::Hash(attempt == 0 ? data : retry)));
     if (!x.IsZero()) {
       return ctx_.ModMul(x, x);  // square into the QR subgroup
     }
-    input.push_back(0x01);  // re-derive on the (improbable) zero
   }
   HSIS_LOG_FATAL << "HashToElement failed to find a nonzero residue";
   return U256(1);

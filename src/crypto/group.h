@@ -36,6 +36,12 @@ class PrimeGroup {
   /// (re-derived in the vanishingly unlikely event x == 0).
   U256 HashToElement(const Bytes& data) const;
 
+  /// digest mod p for any 256-bit `digest`: the reduction step of
+  /// `HashToElement`. For p >= 2^255 the digest is below 2p, so one
+  /// conditional subtraction reduces it; narrower moduli take the
+  /// general `DivMod`.
+  U256 ReduceDigest(const U256& digest) const;
+
   /// True iff `a` is in [1, p) and a^q == 1 (i.e. a is in the subgroup).
   bool IsElement(const U256& a) const;
 

@@ -2,8 +2,28 @@
 #define HSIS_CRYPTO_HMAC_SHA256_H_
 
 #include "common/bytes.h"
+#include "crypto/sha256.h"
 
 namespace hsis::crypto {
+
+/// Incremental HMAC-SHA-256 (RFC 2104). The key's inner and outer pads
+/// are absorbed at construction, so a keyed instance can be copied and
+/// fed a message in pieces without first concatenating them.
+class HmacSha256Stream {
+ public:
+  explicit HmacSha256Stream(const Bytes& key);
+
+  /// Absorbs the next piece of the message.
+  void Update(const uint8_t* data, size_t len) { inner_.Update(data, len); }
+  void Update(const Bytes& data) { inner_.Update(data); }
+
+  /// The 32-byte tag of everything absorbed; the instance is spent.
+  Bytes Finish();
+
+ private:
+  Sha256 inner_;  // H(K ^ ipad || message...)
+  Sha256 outer_;  // H(K ^ opad || ...), finished over the inner digest
+};
 
 /// HMAC-SHA-256 (RFC 2104). Keys longer than the block size are hashed
 /// first; shorter keys are zero-padded, per the spec.

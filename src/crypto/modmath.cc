@@ -58,14 +58,44 @@ Result<MontgomeryContext> MontgomeryContext::Create(const U256& modulus) {
   return MontgomeryContext(modulus, n0inv, r2);
 }
 
+namespace {
+
+// Final conditional subtraction shared by both kernels: given the
+// 5-limb reduction output (t0..t3, t4) < 2n, returns it minus n when it
+// is >= n, else unchanged. Inline limb arithmetic, so the kernels
+// never leave registers for an out-of-line U256 compare and subtract.
+inline U256 SubtractModulusOnce(const uint64_t t[5], const U256& n) {
+  uint64_t d[4];
+  uint64_t borrow = 0;
+#pragma GCC unroll 4
+  for (size_t j = 0; j < 4; ++j) {
+    uint128 diff = static_cast<uint128>(t[j]) - n.limb[j] - borrow;
+    d[j] = static_cast<uint64_t>(diff);
+    borrow = static_cast<uint64_t>(diff >> 64) & 1;
+  }
+  // t >= n iff the top limb is set or the low 256-bit subtraction did
+  // not borrow; the result is then the low 256 bits of t - n.
+  if (t[4] != 0 || borrow == 0) return U256(d[0], d[1], d[2], d[3]);
+  return U256(t[0], t[1], t[2], t[3]);
+}
+
+}  // namespace
+
+// Both kernels below are fixed 4-limb loops that `#pragma GCC unroll`
+// flattens completely, so the t[] accumulator lives in registers: without
+// it GCC at -O2 keeps the loops rolled and every limb product goes
+// through memory.
+
 U256 MontgomeryContext::MontMul(const U256& a, const U256& b) const {
   // CIOS (coarsely integrated operand scanning) Montgomery multiplication.
   // t has 4 + 2 limbs of headroom.
   uint64_t t[6] = {0, 0, 0, 0, 0, 0};
 
+#pragma GCC unroll 4
   for (size_t i = 0; i < 4; ++i) {
     // t += a[i] * b
     uint64_t carry = 0;
+#pragma GCC unroll 4
     for (size_t j = 0; j < 4; ++j) {
       uint128 cur = static_cast<uint128>(a.limb[i]) * b.limb[j] + t[j] + carry;
       t[j] = static_cast<uint64_t>(cur);
@@ -78,6 +108,7 @@ U256 MontgomeryContext::MontMul(const U256& a, const U256& b) const {
     // m = t[0] * n0inv mod 2^64; t += m * n; t >>= 64
     uint64_t m = t[0] * n0inv_;
     carry = 0;
+#pragma GCC unroll 4
     for (size_t j = 0; j < 4; ++j) {
       uint128 c2 = static_cast<uint128>(m) * n_.limb[j] + t[j] + carry;
       t[j] = static_cast<uint64_t>(c2);
@@ -88,13 +119,12 @@ U256 MontgomeryContext::MontMul(const U256& a, const U256& b) const {
     t[5] += static_cast<uint64_t>(cur >> 64);
 
     // shift t right by one limb
+#pragma GCC unroll 5
     for (size_t j = 0; j < 5; ++j) t[j] = t[j + 1];
     t[5] = 0;
   }
 
-  U256 result(t[0], t[1], t[2], t[3]);
-  if (t[4] != 0 || result >= n_) result = result - n_;
-  return result;
+  return SubtractModulusOnce(t, n_);
 }
 
 U256 MontgomeryContext::MontSqr(const U256& a) const {
@@ -102,8 +132,10 @@ U256 MontgomeryContext::MontSqr(const U256& a) const {
   // computed once and doubled, then the 4 diagonal squares are added.
   uint64_t t[9] = {0};
 
+#pragma GCC unroll 4
   for (size_t i = 0; i < 4; ++i) {
     uint64_t carry = 0;
+#pragma GCC unroll 3
     for (size_t j = i + 1; j < 4; ++j) {
       uint128 cur =
           static_cast<uint128>(a.limb[i]) * a.limb[j] + t[i + j] + carry;
@@ -116,6 +148,7 @@ U256 MontgomeryContext::MontSqr(const U256& a) const {
   // Double the cross products. The cross sum is (a^2 - sum a[i]^2) / 2
   // < 2^511, so the doubled value still fits in 8 limbs.
   uint64_t top = 0;
+#pragma GCC unroll 8
   for (size_t k = 0; k < 8; ++k) {
     uint64_t next = t[k] >> 63;
     t[k] = (t[k] << 1) | top;
@@ -123,6 +156,7 @@ U256 MontgomeryContext::MontSqr(const U256& a) const {
   }
 
   uint64_t carry = 0;
+#pragma GCC unroll 4
   for (size_t i = 0; i < 4; ++i) {
     uint128 sq = static_cast<uint128>(a.limb[i]) * a.limb[i];
     uint128 lo = static_cast<uint128>(t[2 * i]) + static_cast<uint64_t>(sq) +
@@ -137,24 +171,26 @@ U256 MontgomeryContext::MontSqr(const U256& a) const {
 
   // Separate (SOS) Montgomery reduction of the 512-bit square: zero the
   // low limbs one at a time with multiples of n, then take the high half.
+  // Row i's carry lands in t[i + 4]; the carry out of that limb rides
+  // into row i + 1's top limb (t[i + 5]), and the last one becomes t[8].
+  uint64_t spill = 0;
+#pragma GCC unroll 4
   for (size_t i = 0; i < 4; ++i) {
     uint64_t m = t[i] * n0inv_;
     carry = 0;
+#pragma GCC unroll 4
     for (size_t j = 0; j < 4; ++j) {
       uint128 cur = static_cast<uint128>(m) * n_.limb[j] + t[i + j] + carry;
       t[i + j] = static_cast<uint64_t>(cur);
       carry = static_cast<uint64_t>(cur >> 64);
     }
-    for (size_t k = i + 4; carry != 0 && k < 9; ++k) {
-      uint128 cur = static_cast<uint128>(t[k]) + carry;
-      t[k] = static_cast<uint64_t>(cur);
-      carry = static_cast<uint64_t>(cur >> 64);
-    }
+    uint128 cur = static_cast<uint128>(t[i + 4]) + carry + spill;
+    t[i + 4] = static_cast<uint64_t>(cur);
+    spill = static_cast<uint64_t>(cur >> 64);
   }
+  t[8] = spill;
 
-  U256 result(t[4], t[5], t[6], t[7]);
-  if (t[8] != 0 || result >= n_) result = result - n_;
-  return result;
+  return SubtractModulusOnce(t + 4, n_);
 }
 
 U256 MontgomeryContext::ToMont(const U256& a) const { return MontMul(a, r2_); }
@@ -164,7 +200,12 @@ U256 MontgomeryContext::FromMont(const U256& a) const {
 }
 
 U256 MontgomeryContext::ModMul(const U256& a, const U256& b) const {
-  return FromMont(MontMul(ToMont(a), ToMont(b)));
+  // MontMul(a, R^2) = a*R and MontMul(a*R, b) = a*b (mod n): two
+  // reductions instead of converting both operands in and the product
+  // out. One operand of each product is below n, which keeps every
+  // intermediate below 2n, so the result is the fully reduced a*b mod n
+  // for any 256-bit a and b.
+  return MontMul(MontMul(a, r2_), b);
 }
 
 U256 MontgomeryContext::ModExp(const U256& base, const U256& exp) const {

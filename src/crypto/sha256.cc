@@ -76,33 +76,41 @@ void Sha256::ProcessBlock(const uint8_t* block) {
 
 void Sha256::Update(const uint8_t* data, size_t len) {
   HSIS_CHECK(!finished_) << "Sha256 updated after Finish()";
+  if (len == 0) return;  // `data` may be null then
   total_len_ += len;
-  while (len > 0) {
+  // Top up a partly filled buffer first.
+  if (buffer_len_ > 0) {
     size_t take = std::min(len, kBlockSize - buffer_len_);
     std::memcpy(buffer_.data() + buffer_len_, data, take);
     buffer_len_ += take;
     data += take;
     len -= take;
-    if (buffer_len_ == kBlockSize) {
-      ProcessBlock(buffer_.data());
-      buffer_len_ = 0;
-    }
+    if (buffer_len_ < kBlockSize) return;
+    ProcessBlock(buffer_.data());
+    buffer_len_ = 0;
   }
+  // Whole blocks compress straight from the input.
+  for (; len >= kBlockSize; data += kBlockSize, len -= kBlockSize) {
+    ProcessBlock(data);
+  }
+  if (len > 0) std::memcpy(buffer_.data(), data, len);
+  buffer_len_ = len;
 }
 
 Bytes Sha256::Finish() {
   HSIS_CHECK(!finished_) << "Sha256::Finish() called twice";
 
+  // 0x80, zeros up to 56 mod 64, then the 64-bit big-endian bit length:
+  // one Update of 9..72 bytes.
   uint64_t bit_len = total_len_ * 8;
-  uint8_t pad = 0x80;
-  Update(&pad, 1);
-  uint8_t zero = 0;
-  while (buffer_len_ != 56) Update(&zero, 1);
-  uint8_t len_bytes[8];
+  uint8_t pad[kBlockSize + 8] = {0x80};
+  size_t zeros_end = buffer_len_ < 56 ? 56 - buffer_len_
+                                      : kBlockSize + 56 - buffer_len_;
   for (int i = 0; i < 8; ++i) {
-    len_bytes[i] = static_cast<uint8_t>(bit_len >> (56 - 8 * i));
+    pad[zeros_end + static_cast<size_t>(i)] =
+        static_cast<uint8_t>(bit_len >> (56 - 8 * i));
   }
-  Update(len_bytes, 8);
+  Update(pad, zeros_end + 8);
   finished_ = true;
 
   Bytes digest(kDigestSize);

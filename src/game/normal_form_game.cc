@@ -31,7 +31,11 @@ NormalFormGame::NormalFormGame(std::vector<int> strategy_counts)
   int max_strategies = 0;
   for (int c : strategy_counts_) max_strategies = std::max(max_strategies, c);
   for (int s = 0; s < max_strategies; ++s) {
-    strategy_names_.push_back("s" + std::to_string(s));
+    // Appended rather than `"s" + std::to_string(s)`: GCC 12 at -O3
+    // reports a false -Wrestrict overlap inside that operator+.
+    std::string name = "s";
+    name += std::to_string(s);
+    strategy_names_.push_back(std::move(name));
   }
 }
 

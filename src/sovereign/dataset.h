@@ -1,6 +1,7 @@
 #ifndef HSIS_SOVEREIGN_DATASET_H_
 #define HSIS_SOVEREIGN_DATASET_H_
 
+#include <compare>
 #include <initializer_list>
 #include <span>
 #include <string>
@@ -27,8 +28,9 @@ struct Tuple {
   friend bool operator==(const Tuple& a, const Tuple& b) {
     return a.value == b.value;
   }
-  friend auto operator<=>(const Tuple& a, const Tuple& b) {
-    return a.value <=> b.value;
+  /// Lexicographic byte order (`CompareBytes`).
+  friend std::strong_ordering operator<=>(const Tuple& a, const Tuple& b) {
+    return CompareBytes(a.value, b.value) <=> 0;
   }
 };
 

@@ -1,10 +1,10 @@
 #include "sovereign/intersection_protocol.h"
 
 #include <algorithm>
-#include <map>
 
 #include "crypto/commutative_cipher.h"
 #include "sovereign/channel.h"
+#include "sovereign/set_ops.h"
 #include "sovereign/stream_frame.h"
 
 namespace hsis::sovereign {
@@ -47,8 +47,6 @@ struct Participant {
   std::vector<U256> self_encrypted;
   // The peer's set after our encryption: {E_self(E_peer(h(peer tuple)))}.
   std::vector<U256> peer_double_encrypted;
-  // Our tuples' values under both keys, aligned with tuples (full mode).
-  std::vector<U256> own_double_encrypted;
 
   Bytes own_commitment;
   Bytes peer_commitment;
@@ -56,9 +54,8 @@ struct Participant {
 
 Status SendCommitment(Participant& p,
                       const crypto::MultisetHashFamily& family) {
-  std::unique_ptr<crypto::MultisetHash> hash = family.NewHash();
-  for (const Tuple& t : p.data->tuples()) hash->Add(t.value);
-  p.own_commitment = hash->Serialize();
+  HSIS_ASSIGN_OR_RETURN(p.own_commitment,
+                        CommitTuples(p.data->tuples(), family, /*threads=*/1));
   Bytes msg;
   msg.push_back(kMsgCommitment);
   Append(msg, p.own_commitment);
@@ -137,14 +134,13 @@ Status EncryptPeerSet(Participant& p, bool size_only, Rng& rng,
 
 /// Receives the peer's reply about our own set and resolves the
 /// intersection.
-Status ResolveIntersection(Participant& p, bool size_only,
-                           IntersectionOutcome& outcome) {
+Status ReceiveAndResolve(Participant& p, bool size_only,
+                         IntersectionOutcome& outcome) {
   Result<Bytes> msg = p.channel.Receive();
   HSIS_RETURN_IF_ERROR(msg.status());
 
   // Multiset of the peer's tuples under both keys (we computed it).
-  std::map<U256, size_t> peer_counts;
-  for (const U256& v : p.peer_double_encrypted) peer_counts[v]++;
+  FlatMultiset peer(std::move(p.peer_double_encrypted));
 
   if (size_only) {
     Result<std::vector<U256>> own_dd =
@@ -155,11 +151,7 @@ Status ResolveIntersection(Participant& p, bool size_only,
     }
     size_t matches = 0;
     for (const U256& v : *own_dd) {
-      auto it = peer_counts.find(v);
-      if (it != peer_counts.end() && it->second > 0) {
-        --it->second;
-        ++matches;
-      }
+      if (peer.Take(v)) ++matches;
     }
     outcome.intersection_size = matches;
     return Status::OK();
@@ -171,33 +163,8 @@ Status ResolveIntersection(Participant& p, bool size_only,
   if (pairs->size() != p.data->size() * 2) {
     return Status::ProtocolViolation("double-encrypted pair count mismatch");
   }
-  // Map E_self(h(t)) -> E_peer(E_self(h(t))). Duplicate tuples share the
-  // same singly-encrypted value and the same double-encrypted value, so a
-  // plain map is sufficient.
-  std::map<U256, U256> mapping;
-  for (size_t i = 0; i < pairs->size(); i += 2) {
-    mapping[(*pairs)[i]] = (*pairs)[i + 1];
-  }
-  p.own_double_encrypted.reserve(p.data->size());
-  for (const U256& v : p.self_encrypted) {
-    auto it = mapping.find(v);
-    if (it == mapping.end()) {
-      return Status::ProtocolViolation(
-          "peer reply omits one of our encrypted values");
-    }
-    p.own_double_encrypted.push_back(it->second);
-  }
-
-  const std::vector<Tuple>& tuples = p.data->tuples();
-  for (size_t i = 0; i < tuples.size(); ++i) {
-    auto it = peer_counts.find(p.own_double_encrypted[i]);
-    if (it != peer_counts.end() && it->second > 0) {
-      --it->second;
-      outcome.intersection.Add(tuples[i]);
-    }
-  }
-  outcome.intersection_size = outcome.intersection.size();
-  return Status::OK();
+  return ResolveIntersection(*p.data, p.self_encrypted, PairTable(*pairs),
+                             peer, outcome);
 }
 
 }  // namespace
@@ -262,8 +229,8 @@ RunTwoPartyIntersection(const Dataset& reported_a, const Dataset& reported_b,
 
   // Phase 4: resolve.
   IntersectionOutcome out_a, out_b;
-  HSIS_RETURN_IF_ERROR(ResolveIntersection(a, options.size_only, out_a));
-  HSIS_RETURN_IF_ERROR(ResolveIntersection(b, options.size_only, out_b));
+  HSIS_RETURN_IF_ERROR(ReceiveAndResolve(a, options.size_only, out_a));
+  HSIS_RETURN_IF_ERROR(ReceiveAndResolve(b, options.size_only, out_b));
 
   out_a.own_commitment = a.own_commitment;
   out_a.peer_commitment = a.peer_commitment;

@@ -126,8 +126,9 @@ RunTwoPartyIntersection(const Dataset& reported_a, const Dataset& reported_b,
 /// frame-locally under a per-chunk `Rng::ForIndex` stream, and shipped
 /// as a chunk-framed element stream (sovereign/stream_frame.h) that the
 /// receiver reassembles and double-encrypts chunk by chunk. Commitments
-/// accumulate incrementally per chunk — bit-identical to the whole-set
-/// hash by the multiset hash's incrementality.
+/// fold over `options.threads` in tiles (sovereign/set_ops.h) —
+/// bit-identical to the whole-set hash by the multiset hash's
+/// incrementality.
 ///
 /// The differential contract against the legacy whole-set path (pinned
 /// by tests/sovereign/streamed_protocol_test.cc): for every chunk size

@@ -1,9 +1,8 @@
 #include "sovereign/multiparty.h"
 
-#include <map>
-
 #include "common/parallel.h"
 #include "crypto/commutative_cipher.h"
+#include "sovereign/set_ops.h"
 
 namespace hsis::sovereign {
 
@@ -62,44 +61,32 @@ Result<std::vector<MultiPartyOutcome>> RunMultiPartyIntersection(
         return Status::OK();
       }));
 
-  // Commitments (Section 6): every party publishes H_i(D̂_i);
-  // independent per party, ordered output slots.
+  // Commitments (Section 6): every party publishes H_i(D̂_i), each
+  // folded in parallel tiles.
   std::vector<MultiPartyOutcome> outcomes(n);
-  common::ParallelFor(options.threads, n, [&](size_t i) {
-    std::unique_ptr<crypto::MultisetHash> h = commitment_family.NewHash();
-    for (const Tuple& t : reported[i].tuples()) h->Add(t.value);
-    outcomes[i].own_commitment = h->Serialize();
-  });
+  for (size_t i = 0; i < n; ++i) {
+    HSIS_ASSIGN_OR_RETURN(
+        outcomes[i].own_commitment,
+        CommitTuples(reported[i].tuples(), commitment_family, options.threads));
+  }
 
   // Global intersection under full encryption: a value survives with the
   // minimum multiplicity across all parties.
-  std::map<U256, size_t> counts;
-  for (const U256& v : fully_encrypted[0]) counts[v]++;
-  for (size_t i = 1; i < n; ++i) {
-    std::map<U256, size_t> mine;
-    for (const U256& v : fully_encrypted[i]) mine[v]++;
-    for (auto it = counts.begin(); it != counts.end();) {
-      auto found = mine.find(it->first);
-      size_t m = (found == mine.end()) ? 0 : found->second;
-      it->second = std::min(it->second, m);
-      if (it->second == 0) {
-        it = counts.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  }
+  std::vector<FlatMultiset> sets(n);
+  common::ParallelFor(options.threads, n, [&](size_t i) {
+    sets[i] = FlatMultiset(fully_encrypted[i]);
+  });
+  FlatMultiset common = std::move(sets[0]);
+  for (size_t i = 1; i < n; ++i) common = common.Intersect(sets[i]);
 
   // Each party maps surviving encrypted values back to its own tuples —
-  // independent per party given the (read-only) global counts, with a
-  // party-local working copy of the multiplicities.
+  // independent per party given the (read-only) global multiset, with a
+  // party-local working copy of it.
   common::ParallelFor(options.threads, n, [&](size_t i) {
-    std::map<U256, size_t> remaining = counts;
+    FlatMultiset remaining = common;
     const std::vector<Tuple>& tuples = reported[i].tuples();
     for (size_t k = 0; k < tuples.size(); ++k) {
-      auto it = remaining.find(fully_encrypted[i][k]);
-      if (it != remaining.end() && it->second > 0) {
-        --it->second;
+      if (remaining.Take(fully_encrypted[i][k])) {
         outcomes[i].intersection.Add(tuples[k]);
       }
     }

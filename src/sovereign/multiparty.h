@@ -30,8 +30,9 @@ struct MultiPartyOutcome {
 ///
 /// Execution and fault-injection knobs for the n-party protocol.
 struct MultiPartyOptions {
-  /// common/parallel.h knob for the per-party hot paths (ring-pass
-  /// encryption, commitments, match map-back): 1 = serial (default),
+  /// common/parallel.h knob for the hot paths (per-party ring-pass
+  /// encryption and match map-back, commitment tiles within each
+  /// party's dataset): 1 = serial (default),
   /// 0 = hardware concurrency, N = exactly N workers. Key generation
   /// and the global min-multiplicity reduction stay serial, so results
   /// are bit-identical for every thread count.

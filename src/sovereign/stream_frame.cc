@@ -1,5 +1,7 @@
 #include "sovereign/stream_frame.h"
 
+#include <algorithm>
+
 namespace hsis::sovereign {
 
 namespace {
@@ -8,8 +10,30 @@ constexpr size_t kElementBytes = 32;
 constexpr size_t kFirstHeaderBytes = 5;          // kind + total
 constexpr size_t kContinuationHeaderBytes = 10;  // tag + kind + index + count
 
+// Each element is its 32-byte big-endian encoding (`U256::ToBytesBE`),
+// written into and read out of the frame buffer in place.
 void AppendElements(Bytes& out, const std::vector<U256>& elements) {
-  for (const U256& e : elements) Append(out, e.ToBytesBE());
+  const size_t begin = out.size();
+  out.resize(begin + elements.size() * kElementBytes);
+  uint8_t* p = out.data() + begin;
+  for (const U256& e : elements) {
+    for (size_t limb = 4; limb-- > 0;) {
+      const uint64_t v = e.limb[limb];
+      for (size_t b = 0; b < 8; ++b) {
+        *p++ = static_cast<uint8_t>(v >> (56 - 8 * b));
+      }
+    }
+  }
+}
+
+U256 ReadElement(const uint8_t* p) {
+  U256 e;
+  for (size_t limb = 4; limb-- > 0;) {
+    uint64_t v = 0;
+    for (size_t b = 0; b < 8; ++b) v = (v << 8) | *p++;
+    e.limb[limb] = v;
+  }
+  return e;
 }
 
 }  // namespace
@@ -62,7 +86,6 @@ Status ElementStreamReader::Consume(const Bytes& frame) {
       return fail("opening frame exceeds declared element total");
     }
     header_seen_ = true;
-    elements_.reserve(total_);
   } else {
     if (complete()) {
       return fail("stream chunk after declared element total was reached");
@@ -92,13 +115,21 @@ Status ElementStreamReader::Consume(const Bytes& frame) {
     ++next_index_;
   }
 
+  // The declared total is the peer's word, not a reservation (the
+  // bounded-count rule of ReadShardRecords in common/shard.cc): storage
+  // grows geometrically with the elements that arrived, so capacity
+  // stays within twice the received count, and the cap at the total
+  // makes the last step land exactly on it.
   last_frame_begin_ = elements_.size();
+  const size_t needed = last_frame_begin_ + count;
+  if (needed > elements_.capacity()) {
+    elements_.reserve(std::min<size_t>(
+        total_, std::max(needed, 2 * last_frame_begin_)));
+  }
+  elements_.resize(needed);
+  const uint8_t* payload = frame.data() + payload_offset;
   for (size_t i = 0; i < count; ++i) {
-    Bytes chunk(frame.begin() + static_cast<ptrdiff_t>(payload_offset +
-                                                       i * kElementBytes),
-                frame.begin() + static_cast<ptrdiff_t>(payload_offset +
-                                                       (i + 1) * kElementBytes));
-    elements_.push_back(U256::FromBytesBE(chunk));
+    elements_[last_frame_begin_ + i] = ReadElement(payload + i * kElementBytes);
   }
   return Status::OK();
 }

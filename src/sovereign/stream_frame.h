@@ -66,7 +66,10 @@ Bytes SerializeContinuationFrame(uint8_t kind, uint32_t index,
 /// structural deviation — wrong tag or kind, out-of-order or duplicate
 /// chunk index, a count field disagreeing with the frame's byte length,
 /// an empty continuation frame, or more elements than the declared
-/// total — is a typed `ProtocolViolation`.
+/// total — is a typed `ProtocolViolation`. Storage follows the elements
+/// actually received, never the declared total: an opening frame holds
+/// exactly its own elements, and capacity stays within twice what has
+/// arrived.
 class ElementStreamReader {
  public:
   /// `kind` is the expected stream kind tag (kMsgEncryptedSet, ...).

@@ -15,7 +15,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <mutex>
 #include <span>
 #include <thread>
@@ -25,6 +24,7 @@
 #include "crypto/parallel_modexp.h"
 #include "sovereign/channel.h"
 #include "sovereign/intersection_protocol.h"
+#include "sovereign/set_ops.h"
 #include "sovereign/stream_frame.h"
 
 namespace hsis::sovereign {
@@ -60,23 +60,21 @@ struct StreamParticipant {
 
   // E_self(h(t)), aligned with data->tuples().
   std::vector<U256> self_encrypted;
-  // Multiset {E_self(E_peer(h(peer tuple)))}, accumulated frame by frame.
-  std::map<U256, size_t> peer_counts;
+  // Multiset {E_self(E_peer(h(peer tuple)))}, appended frame by frame.
+  FlatMultiset peer_multiset;
 
   Bytes own_commitment;
   Bytes peer_commitment;
 };
 
 Status SendCommitmentStreamed(StreamParticipant& p,
-                              const crypto::MultisetHashFamily& family) {
-  // Incremental accumulation, chunk by chunk: equal to the whole-set
-  // hash by the multiset hash's incrementality (pinned by
+                              const crypto::MultisetHashFamily& family,
+                              int threads) {
+  // Tiled accumulation: equal to the whole-set hash by the multiset
+  // hash's incrementality (pinned by
   // tests/sovereign/commitment_stream_property_test.cc).
-  std::unique_ptr<crypto::MultisetHash> hash = family.NewHash();
-  for (size_t c = 0; c < p.source.chunk_count(); ++c) {
-    for (const Tuple& t : p.source.Chunk(c)) hash->Add(t.value);
-  }
-  p.own_commitment = hash->Serialize();
+  HSIS_ASSIGN_OR_RETURN(p.own_commitment,
+                        CommitTuples(p.data->tuples(), family, threads));
   Bytes msg;
   msg.push_back(kMsgCommitment);
   Append(msg, p.own_commitment);
@@ -225,7 +223,7 @@ Status EncryptPeerSetStreamed(StreamParticipant& p, bool size_only,
     std::span<const U256> window(reader.elements().data() + begin, count);
     std::vector<U256> dd(count);
     crypto::EncryptBatch(p.cipher, window, dd, threads);
-    for (const U256& v : dd) p.peer_counts[v]++;
+    p.peer_multiset.Append(dd);
 
     std::vector<U256> reply;
     if (size_only) {
@@ -295,14 +293,14 @@ Status EncryptPeerSetStreamed(StreamParticipant& p, bool size_only,
 
 /// Phase 4: consumes the peer's reply stream about our own set and
 /// resolves the intersection — identical logic and error taxonomy to
-/// the legacy resolve, applied incrementally.
+/// the legacy resolve (both run sovereign/set_ops.h).
 Status ResolveIntersectionStreamed(StreamParticipant& p, bool size_only,
                                    IntersectionOutcome& outcome) {
   const size_t n = p.data->size();
+  p.peer_multiset.Seal();
 
   if (size_only) {
     ElementStreamReader reader(kMsgDoubleEncryptedSet);
-    std::map<U256, size_t> remaining = std::move(p.peer_counts);
     size_t matches = 0;
     do {
       Bytes frame;
@@ -315,11 +313,7 @@ Status ResolveIntersectionStreamed(StreamParticipant& p, bool size_only,
       }
       for (size_t i = reader.last_frame_begin(); i < reader.elements().size();
            ++i) {
-        auto it = remaining.find(reader.elements()[i]);
-        if (it != remaining.end() && it->second > 0) {
-          --it->second;
-          ++matches;
-        }
+        if (p.peer_multiset.Take(reader.elements()[i])) ++matches;
       }
     } while (!reader.complete());
     outcome.intersection_size = matches;
@@ -327,12 +321,6 @@ Status ResolveIntersectionStreamed(StreamParticipant& p, bool size_only,
   }
 
   ElementStreamReader reader(kMsgDoubleEncryptedPairs);
-  // Map E_self(h(t)) -> E_peer(E_self(h(t))), extended per frame over
-  // the complete pairs received so far. Duplicate tuples share the same
-  // singly-encrypted value and the same double-encrypted value, so a
-  // plain map is sufficient.
-  std::map<U256, U256> mapping;
-  size_t paired = 0;
   do {
     Bytes frame;
     HSIS_RETURN_IF_ERROR(ReceiveFrame(p.channel, &frame));
@@ -342,34 +330,10 @@ Status ResolveIntersectionStreamed(StreamParticipant& p, bool size_only,
       return Status::ProtocolViolation(
           "double-encrypted pair count mismatch");
     }
-    const std::vector<U256>& flat = reader.elements();
-    for (; paired + 2 <= flat.size(); paired += 2) {
-      mapping[flat[paired]] = flat[paired + 1];
-    }
   } while (!reader.complete());
-
-  std::vector<U256> own_double_encrypted;
-  own_double_encrypted.reserve(n);
-  for (const U256& v : p.self_encrypted) {
-    auto it = mapping.find(v);
-    if (it == mapping.end()) {
-      return Status::ProtocolViolation(
-          "peer reply omits one of our encrypted values");
-    }
-    own_double_encrypted.push_back(it->second);
-  }
-
-  std::map<U256, size_t> remaining = std::move(p.peer_counts);
-  const std::vector<Tuple>& tuples = p.data->tuples();
-  for (size_t i = 0; i < tuples.size(); ++i) {
-    auto it = remaining.find(own_double_encrypted[i]);
-    if (it != remaining.end() && it->second > 0) {
-      --it->second;
-      outcome.intersection.Add(tuples[i]);
-    }
-  }
-  outcome.intersection_size = outcome.intersection.size();
-  return Status::OK();
+  return ResolveIntersection(*p.data, p.self_encrypted,
+                             PairTable(reader.elements()), p.peer_multiset,
+                             outcome);
 }
 
 }  // namespace
@@ -407,9 +371,9 @@ RunTwoPartyIntersectionStreamed(
   StreamParticipant b(reported_b, std::move(channel->second),
                       std::move(*cipher_b), options.chunk_size);
 
-  // Phase 1: commitments, accumulated incrementally per chunk.
-  HSIS_RETURN_IF_ERROR(SendCommitmentStreamed(a, commitment_family));
-  HSIS_RETURN_IF_ERROR(SendCommitmentStreamed(b, commitment_family));
+  // Phase 1: commitments, folded in parallel tiles.
+  HSIS_RETURN_IF_ERROR(SendCommitmentStreamed(a, commitment_family, threads));
+  HSIS_RETURN_IF_ERROR(SendCommitmentStreamed(b, commitment_family, threads));
   HSIS_RETURN_IF_ERROR(ReceiveCommitmentStreamed(a));
   HSIS_RETURN_IF_ERROR(ReceiveCommitmentStreamed(b));
 

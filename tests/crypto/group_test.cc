@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "common/random.h"
+
 namespace hsis::crypto {
 namespace {
 
@@ -87,6 +91,27 @@ TEST(PrimeGroupTest, InverseExponentUndoesExp) {
     Result<U256> d = g.InverseExponent(e);
     ASSERT_TRUE(d.ok());
     EXPECT_EQ(g.Exp(g.Exp(x, e), *d), x);
+  }
+}
+
+// The HashToElement reduction (one conditional subtraction for a
+// modulus >= 2^255, DivMod below that) against DivMod itself, over
+// random digests and the edge values on both library groups.
+TEST(PrimeGroupTest, ReduceDigestMatchesDivMod) {
+  Rng rng(255);
+  for (const PrimeGroup* g :
+       {&PrimeGroup::Default(), &PrimeGroup::SmallTestGroup()}) {
+    const U256& p = g->modulus();
+    const U256 all_ones(~0ULL, ~0ULL, ~0ULL, ~0ULL);
+    std::vector<U256> digests = {U256(0), U256(1),     p - U256(1),
+                                 p,       p + U256(1), all_ones};
+    for (int i = 0; i < 2000; ++i) {
+      digests.push_back(U256::FromBytesBE(rng.RandomBytes(32)));
+    }
+    for (const U256& d : digests) {
+      EXPECT_EQ(g->ReduceDigest(d), DivMod(d, p).remainder)
+          << "p " << p.ToHex() << " digest " << d.ToHex();
+    }
   }
 }
 

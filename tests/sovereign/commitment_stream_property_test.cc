@@ -45,7 +45,8 @@ Dataset RandomDataset(Rng& rng, int trial) {
   std::vector<std::string> values;
   values.reserve(n);
   for (size_t i = 0; i < n; ++i) {
-    values.push_back("v" + std::to_string(rng.UniformUint64(20)));
+    values.push_back(
+        std::string("v").append(std::to_string(rng.UniformUint64(20))));
   }
   return Dataset::FromStrings(values);
 }

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -287,6 +288,30 @@ TEST(StreamFrameFuzzTest, PayloadBitFlipsCaughtByChannelAead) {
   Result<Bytes> tampered = receiver.Receive();
   ASSERT_FALSE(tampered.ok());
   EXPECT_EQ(tampered.status().code(), StatusCode::kIntegrityViolation);
+}
+
+TEST(StreamFrameFuzzTest, DeclaredTotalReservesOnlyWhatArrived) {
+  // An opening frame may declare any u32 total; storage must follow the
+  // elements actually received, never the declaration (a flipped bit or
+  // a hostile peer could otherwise demand ~137 GB up front).
+  const std::vector<U256> elements = MakeElements(3, 9);
+  ElementStreamReader reader(kMsgEncryptedSet);
+  ASSERT_TRUE(reader
+                  .Consume(SerializeFirstFrame(kMsgEncryptedSet, UINT32_MAX,
+                                               elements))
+                  .ok());
+  EXPECT_FALSE(reader.complete());
+  EXPECT_EQ(reader.elements(), elements);
+  EXPECT_LE(reader.elements().capacity(), elements.size());
+
+  // Continuation frames grow storage geometrically with what arrives.
+  for (uint32_t index = 1; index <= 20; ++index) {
+    ASSERT_TRUE(reader
+                    .Consume(SerializeContinuationFrame(
+                        kMsgEncryptedSet, index, MakeElements(5, index)))
+                    .ok());
+    EXPECT_LE(reader.elements().capacity(), 2 * reader.elements().size());
+  }
 }
 
 }  // namespace
