@@ -41,7 +41,7 @@ ThreadPool::ThreadPool(int threads) {
   int k = ResolveThreadCount(threads);
   workers_.reserve(static_cast<size_t>(k - 1));
   for (int w = 1; w < k; ++w) {
-    workers_.emplace_back(&ThreadPool::WorkerLoop, this, w);
+    workers_.emplace_back(&ThreadPool::WorkerLoop, this);
   }
 }
 
@@ -65,20 +65,31 @@ void ThreadPool::Run(size_t n, const std::function<void(size_t)>& body) {
     HSIS_CHECK(job_body_ == nullptr) << "ThreadPool::Run is not reentrant";
     job_n_ = n;
     job_body_ = &body;
+    next_index_.store(0);
     pending_workers_ = k - 1;
     ++generation_;
   }
   work_cv_.notify_all();
 
-  auto [lo, hi] = ChunkBounds(n, k, 0);
-  for (size_t i = lo; i < hi; ++i) body(i);
+  Drain(n, body);
 
   std::unique_lock<std::mutex> lock(mu_);
   done_cv_.wait(lock, [&] { return pending_workers_ == 0; });
   job_body_ = nullptr;
 }
 
-void ThreadPool::WorkerLoop(int worker_id) {
+void ThreadPool::Drain(size_t n, const std::function<void(size_t)>& body) {
+  const size_t grain =
+      std::max<size_t>(1, n / (8 * static_cast<size_t>(size())));
+  for (;;) {
+    const size_t lo = next_index_.fetch_add(grain);
+    if (lo >= n) return;
+    const size_t hi = std::min(n, lo + grain);
+    for (size_t i = lo; i < hi; ++i) body(i);
+  }
+}
+
+void ThreadPool::WorkerLoop() {
   uint64_t seen_generation = 0;
   for (;;) {
     const std::function<void(size_t)>* body;
@@ -93,8 +104,7 @@ void ThreadPool::WorkerLoop(int worker_id) {
       body = job_body_;
       n = job_n_;
     }
-    auto [lo, hi] = ChunkBounds(n, size(), worker_id);
-    for (size_t i = lo; i < hi; ++i) (*body)(i);
+    Drain(n, *body);
     {
       std::lock_guard<std::mutex> lock(mu_);
       if (--pending_workers_ == 0) done_cv_.notify_one();

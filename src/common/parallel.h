@@ -1,6 +1,7 @@
 #ifndef HSIS_COMMON_PARALLEL_H_
 #define HSIS_COMMON_PARALLEL_H_
 
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -24,9 +25,14 @@
 ///     `body(i)` exactly once for each index in `[0, n)`; callers write
 ///     result `i` into a pre-sized output slot `i`, so the assembled
 ///     output is in input order no matter how indices were scheduled.
-///  2. **Static chunking** — indices are split into `size()` contiguous
-///     chunks up front (no work stealing), so a run never depends on
-///     scheduling races.
+///  2. **Claimed fixed tiles** — the work units (single indices,
+///     `ParallelFor` batches, `ParallelForTiles` tiles) have boundaries
+///     fixed by `n` and the batch/tile size alone. Workers claim runs of
+///     whole units from a shared atomic counter until the range is
+///     drained, so a slow worker delays only the units it holds. Which
+///     thread runs a unit, and when, varies from run to run; what each
+///     unit computes and where it writes does not, so no result depends
+///     on the schedule.
 ///  3. **Per-index randomness** — stochastic bodies must draw from
 ///     `Rng::ForIndex(base_seed, i)` (see common/random.h) instead of a
 ///     shared generator, which makes every index's stream a pure
@@ -89,19 +95,23 @@ class ThreadPool {
   int size() const { return static_cast<int>(workers_.size()) + 1; }
 
   /// Runs `body(i)` for every `i` in `[0, n)` and returns once all
-  /// calls completed. Chunk `w` of `size()` static contiguous chunks is
-  /// executed by worker `w`; the calling thread runs chunk 0. `body`
-  /// must be safe to invoke concurrently for distinct indices. Not
-  /// reentrant: do not call `Run` from inside `body`.
+  /// calls completed. The workers and the calling thread claim
+  /// contiguous blocks of `max(1, n / (8 * size()))` indices from a
+  /// shared counter until the range is drained, so no thread waits on
+  /// a fixed share held by a slower one. `body` must be safe to invoke
+  /// concurrently for distinct indices. Not reentrant: do not call
+  /// `Run` from inside `body`.
   void Run(size_t n, const std::function<void(size_t)>& body);
 
-  /// Static chunk `w` of `[0, n)` split into `k` contiguous chunks:
-  /// `[n*w/k, n*(w+1)/k)`. Exposed for callers that need to reason
-  /// about the partition (e.g. per-chunk scratch buffers).
+  /// Chunk `w` of `[0, n)` split into `k` contiguous chunks:
+  /// `[n*w/k, n*(w+1)/k)`. The shard partition (common/shard.h) follows
+  /// this formula; `Run` does not use it.
   static std::pair<size_t, size_t> ChunkBounds(size_t n, int k, int w);
 
  private:
-  void WorkerLoop(int worker_id);
+  void WorkerLoop();
+  /// Claims blocks of the current job's indices until none is left.
+  void Drain(size_t n, const std::function<void(size_t)>& body);
 
   std::vector<std::thread> workers_;
   std::mutex mu_;
@@ -110,6 +120,7 @@ class ThreadPool {
   uint64_t generation_ = 0;  // bumped per job; workers watch it
   size_t job_n_ = 0;
   const std::function<void(size_t)>* job_body_ = nullptr;
+  std::atomic<size_t> next_index_{0};  // first unclaimed index of the job
   int pending_workers_ = 0;
   bool shutdown_ = false;
 };
@@ -119,7 +130,7 @@ class ThreadPool {
 /// serial-compatible default everywhere) executes inline with zero
 /// threading overhead, and a range smaller than the resolved thread
 /// count falls back to the same inline loop instead of spawning
-/// workers that would receive empty or single-index chunks.
+/// workers that would have too little to claim.
 void ParallelFor(int threads, size_t n,
                  const std::function<void(size_t)>& body);
 
@@ -136,7 +147,7 @@ void ParallelFor(int threads, size_t n, size_t batch_size,
 /// Tile-granular variant: `[0, n)` is split into the same
 /// `ceil(n / tile_size)` contiguous tiles as the batched `ParallelFor`
 /// and `body(lo, hi)` receives each whole half-open tile exactly once,
-/// with the identical static schedule. This is the entry point for
+/// under the same claimed scheduling. This is the entry point for
 /// callers that process a tile internally (e.g. the SIMD kernel lanes
 /// of game/kernel_lanes.h, which run width-strided loops plus a scalar
 /// remainder inside each tile): the tile boundaries — and therefore

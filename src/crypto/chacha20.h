@@ -24,6 +24,7 @@ class ChaCha20 {
 
   /// XORs the keystream into `data` in place, advancing the stream.
   /// Consecutive calls continue one keystream, whatever their lengths:
+  /// runs of four whole blocks go through a 4-lane vector kernel, other
   /// whole 64-byte blocks are XORed word by word, and a partly used
   /// block carries over to the next call.
   void Process(Bytes& data);

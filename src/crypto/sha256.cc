@@ -1,8 +1,16 @@
 #include "crypto/sha256.h"
 
 #include <cstring>
+#include <utility>
 
 #include "common/logging.h"
+#include "crypto/sha256_compress.h"
+
+#if defined(__x86_64__) || defined(__i386__)
+#include <cpuid.h>
+#include <immintrin.h>
+#define HSIS_SHA256_X86 1
+#endif
 
 namespace hsis::crypto {
 
@@ -24,55 +32,162 @@ constexpr uint32_t kRoundConstants[64] = {
 
 uint32_t Rotr(uint32_t x, int n) { return (x >> n) | (x << (32 - n)); }
 
+#ifdef HSIS_SHA256_X86
+
+#define HSIS_SHA_NI __attribute__((target("sha,sse4.1")))
+
+// Rounds 4g..4g+3 of one block, plus the message-schedule steps that
+// interleave with them. `m[g % 4]` holds W[4g..4g+3]; each register is
+// reused every fourth group. msg2 finishes W[4(g+1)..] from the
+// register msg1 started two groups earlier, and msg1 then starts
+// W[4(g+3)..] in the register of W[4(g-1)..], which msg2 just read.
+template <int g>
+HSIS_SHA_NI inline void ShaNiRounds(__m128i& abef, __m128i& cdgh,
+                                    __m128i (&m)[4]) {
+  const __m128i wk = _mm_add_epi32(
+      m[g % 4], _mm_loadu_si128(reinterpret_cast<const __m128i*>(
+                    &kRoundConstants[4 * g])));
+  cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+  if constexpr (g >= 3 && g <= 14) {
+    __m128i& next = m[(g + 1) % 4];
+    next = _mm_add_epi32(next,
+                         _mm_alignr_epi8(m[g % 4], m[(g + 3) % 4], 4));
+    next = _mm_sha256msg2_epu32(next, m[g % 4]);
+  }
+  abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0E));
+  if constexpr (g >= 1 && g <= 12) {
+    m[(g + 3) % 4] = _mm_sha256msg1_epu32(m[(g + 3) % 4], m[g % 4]);
+  }
+}
+
+template <int... g>
+HSIS_SHA_NI inline void ShaNiBlock(__m128i& abef, __m128i& cdgh,
+                                   __m128i (&m)[4],
+                                   std::integer_sequence<int, g...>) {
+  (ShaNiRounds<g>(abef, cdgh, m), ...);
+}
+
+HSIS_SHA_NI void CompressShaNi(uint32_t state[8], const uint8_t* data,
+                               size_t blocks) {
+  // Big-endian message words: reverse the bytes of each 32-bit lane.
+  const __m128i kByteSwap =
+      _mm_set_epi64x(0x0c0d0e0f08090a0bULL, 0x0405060700010203ULL);
+  // The rnds2 instructions keep the state as ABEF and CDGH.
+  const __m128i dcba =
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(&state[0]));
+  const __m128i hgfe =
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(&state[4]));
+  const __m128i cdab = _mm_shuffle_epi32(dcba, 0xB1);
+  const __m128i efgh = _mm_shuffle_epi32(hgfe, 0x1B);
+  __m128i abef = _mm_alignr_epi8(cdab, efgh, 8);
+  __m128i cdgh = _mm_blend_epi16(efgh, cdab, 0xF0);
+
+  for (; blocks > 0; --blocks, data += Sha256::kBlockSize) {
+    const __m128i abef_in = abef;
+    const __m128i cdgh_in = cdgh;
+    __m128i m[4];
+    for (int i = 0; i < 4; ++i) {
+      m[i] = _mm_shuffle_epi8(
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(data + 16 * i)),
+          kByteSwap);
+    }
+    ShaNiBlock(abef, cdgh, m, std::make_integer_sequence<int, 16>());
+    abef = _mm_add_epi32(abef, abef_in);
+    cdgh = _mm_add_epi32(cdgh, cdgh_in);
+  }
+
+  const __m128i feba = _mm_shuffle_epi32(abef, 0x1B);
+  const __m128i dchg = _mm_shuffle_epi32(cdgh, 0xB1);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(&state[0]),
+                   _mm_blend_epi16(feba, dchg, 0xF0));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(&state[4]),
+                   _mm_alignr_epi8(dchg, feba, 8));
+}
+
+bool CpuHasShaNi() {
+  unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+  if (!__get_cpuid(1, &eax, &ebx, &ecx, &edx) || !(ecx & bit_SSE4_1)) {
+    return false;
+  }
+  return __get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx) &&
+         (ebx & bit_SHA) != 0;
+}
+
+#endif  // HSIS_SHA256_X86
+
 }  // namespace
+
+namespace internal {
+
+void Sha256CompressScalar(uint32_t state[8], const uint8_t* data,
+                          size_t blocks) {
+  for (; blocks > 0; --blocks, data += Sha256::kBlockSize) {
+    uint32_t w[64];
+    for (int i = 0; i < 16; ++i) {
+      w[i] = (static_cast<uint32_t>(data[4 * i]) << 24) |
+             (static_cast<uint32_t>(data[4 * i + 1]) << 16) |
+             (static_cast<uint32_t>(data[4 * i + 2]) << 8) |
+             static_cast<uint32_t>(data[4 * i + 3]);
+    }
+    for (int i = 16; i < 64; ++i) {
+      uint32_t s0 = Rotr(w[i - 15], 7) ^ Rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
+      uint32_t s1 = Rotr(w[i - 2], 17) ^ Rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
+      w[i] = w[i - 16] + s0 + w[i - 7] + s1;
+    }
+
+    uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+    uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
+
+    for (int i = 0; i < 64; ++i) {
+      uint32_t s1 = Rotr(e, 6) ^ Rotr(e, 11) ^ Rotr(e, 25);
+      uint32_t ch = (e & f) ^ (~e & g);
+      uint32_t temp1 = h + s1 + ch + kRoundConstants[i] + w[i];
+      uint32_t s0 = Rotr(a, 2) ^ Rotr(a, 13) ^ Rotr(a, 22);
+      uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
+      uint32_t temp2 = s0 + maj;
+      h = g;
+      g = f;
+      f = e;
+      e = d + temp1;
+      d = c;
+      c = b;
+      b = a;
+      a = temp1 + temp2;
+    }
+
+    state[0] += a;
+    state[1] += b;
+    state[2] += c;
+    state[3] += d;
+    state[4] += e;
+    state[5] += f;
+    state[6] += g;
+    state[7] += h;
+  }
+}
+
+Sha256CompressFn Sha256CompressShaNi() {
+#ifdef HSIS_SHA256_X86
+  static const bool supported = CpuHasShaNi();
+  return supported ? &CompressShaNi : nullptr;
+#else
+  return nullptr;
+#endif
+}
+
+Sha256CompressFn Sha256Compress() {
+  static const Sha256CompressFn selected = [] {
+    Sha256CompressFn sha_ni = Sha256CompressShaNi();
+    return sha_ni != nullptr ? sha_ni : &Sha256CompressScalar;
+  }();
+  return selected;
+}
+
+}  // namespace internal
 
 Sha256::Sha256()
     : state_{0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
              0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19} {}
-
-void Sha256::ProcessBlock(const uint8_t* block) {
-  uint32_t w[64];
-  for (int i = 0; i < 16; ++i) {
-    w[i] = (static_cast<uint32_t>(block[4 * i]) << 24) |
-           (static_cast<uint32_t>(block[4 * i + 1]) << 16) |
-           (static_cast<uint32_t>(block[4 * i + 2]) << 8) |
-           static_cast<uint32_t>(block[4 * i + 3]);
-  }
-  for (int i = 16; i < 64; ++i) {
-    uint32_t s0 = Rotr(w[i - 15], 7) ^ Rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
-    uint32_t s1 = Rotr(w[i - 2], 17) ^ Rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
-    w[i] = w[i - 16] + s0 + w[i - 7] + s1;
-  }
-
-  uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-  uint32_t e = state_[4], f = state_[5], g = state_[6], h = state_[7];
-
-  for (int i = 0; i < 64; ++i) {
-    uint32_t s1 = Rotr(e, 6) ^ Rotr(e, 11) ^ Rotr(e, 25);
-    uint32_t ch = (e & f) ^ (~e & g);
-    uint32_t temp1 = h + s1 + ch + kRoundConstants[i] + w[i];
-    uint32_t s0 = Rotr(a, 2) ^ Rotr(a, 13) ^ Rotr(a, 22);
-    uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
-    uint32_t temp2 = s0 + maj;
-    h = g;
-    g = f;
-    f = e;
-    e = d + temp1;
-    d = c;
-    c = b;
-    b = a;
-    a = temp1 + temp2;
-  }
-
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
-}
 
 void Sha256::Update(const uint8_t* data, size_t len) {
   HSIS_CHECK(!finished_) << "Sha256 updated after Finish()";
@@ -86,12 +201,14 @@ void Sha256::Update(const uint8_t* data, size_t len) {
     data += take;
     len -= take;
     if (buffer_len_ < kBlockSize) return;
-    ProcessBlock(buffer_.data());
+    internal::Sha256Compress()(state_.data(), buffer_.data(), 1);
     buffer_len_ = 0;
   }
-  // Whole blocks compress straight from the input.
-  for (; len >= kBlockSize; data += kBlockSize, len -= kBlockSize) {
-    ProcessBlock(data);
+  // Whole blocks compress straight from the input, in one call.
+  if (const size_t blocks = len / kBlockSize; blocks > 0) {
+    internal::Sha256Compress()(state_.data(), data, blocks);
+    data += blocks * kBlockSize;
+    len -= blocks * kBlockSize;
   }
   if (len > 0) std::memcpy(buffer_.data(), data, len);
   buffer_len_ = len;

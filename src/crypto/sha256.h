@@ -9,8 +9,10 @@
 namespace hsis::crypto {
 
 /// Incremental SHA-256 (FIPS 180-4). Implemented from scratch — the
-/// project uses no external crypto libraries. Verified against the NIST
-/// test vectors in tests/crypto/sha256_test.cc.
+/// project uses no external crypto libraries. Blocks compress through
+/// the x86 SHA extensions when the CPU has them and through a portable
+/// scalar loop otherwise (crypto/sha256_compress.h); both are verified
+/// against the NIST test vectors in tests/crypto/sha256_test.cc.
 class Sha256 {
  public:
   static constexpr size_t kDigestSize = 32;
@@ -31,8 +33,6 @@ class Sha256 {
   static Bytes Hash(std::string_view data);
 
  private:
-  void ProcessBlock(const uint8_t* block);
-
   std::array<uint32_t, 8> state_;
   std::array<uint8_t, kBlockSize> buffer_;
   size_t buffer_len_ = 0;

@@ -5,7 +5,9 @@
 namespace hsis::sovereign {
 
 Dataset::Dataset(std::vector<Tuple> tuples) : tuples_(std::move(tuples)) {
-  std::sort(tuples_.begin(), tuples_.end());
+  if (!std::is_sorted(tuples_.begin(), tuples_.end())) {
+    std::sort(tuples_.begin(), tuples_.end());
+  }
 }
 
 Dataset Dataset::FromStrings(std::initializer_list<std::string_view> values) {

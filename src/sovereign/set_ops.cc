@@ -109,12 +109,14 @@ Status ResolveIntersection(const Dataset& data,
     }
     own_double_encrypted.push_back(*dd);
   }
+  // Matches come out in the dataset's canonical order, so the
+  // intersection is built once from them, with no per-match insert.
   const std::vector<Tuple>& tuples = data.tuples();
+  std::vector<Tuple> matches;
   for (size_t i = 0; i < tuples.size(); ++i) {
-    if (peer.Take(own_double_encrypted[i])) {
-      outcome.intersection.Add(tuples[i]);
-    }
+    if (peer.Take(own_double_encrypted[i])) matches.push_back(tuples[i]);
   }
+  outcome.intersection = Dataset(std::move(matches));
   outcome.intersection_size = outcome.intersection.size();
   return Status::OK();
 }

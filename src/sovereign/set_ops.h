@@ -87,8 +87,8 @@ class PairTable {
 
 /// Phase 4 of the two-party protocol in full mode: maps every own tuple
 /// through `reply` (its E_self value is `self_encrypted[i]`, aligned
-/// with `data.tuples()`) and adds it to `outcome.intersection` when its
-/// double encryption takes a copy from `peer`. A value missing from the
+/// with `data.tuples()`) and sets `outcome.intersection` to the tuples
+/// whose double encryption takes a copy from `peer`. A value missing from the
 /// reply is a `ProtocolViolation`. Fills `intersection_size` too.
 Status ResolveIntersection(const Dataset& data,
                            std::span<const U256> self_encrypted,

@@ -87,5 +87,45 @@ TEST(AuthenticatedCipherTest, EmptyPlaintextAllowed) {
   EXPECT_TRUE(opened->empty());
 }
 
+// A frame long enough for every ChaCha20 path (four 4-block kernel
+// runs, one lone block, a 12-byte tail) and many SHA-256 blocks: every
+// single-bit flip of the nonce, ciphertext or tag, and every
+// truncation, must come back as IntegrityViolation.
+TEST(AuthenticatedCipherTest, MultiBlockFrameTamperSweep) {
+  AuthenticatedCipher c = MakeCipher();
+  Bytes msg(1100);
+  for (size_t i = 0; i < msg.size(); ++i) {
+    msg[i] = static_cast<uint8_t>(i * 31 + 7);
+  }
+  const Bytes aad = ToBytes("frame-header");
+  Result<Bytes> sealed = c.Seal(Bytes(12, 0x3c), msg, aad);
+  ASSERT_TRUE(sealed.ok());
+  ASSERT_EQ(sealed->size(), AuthenticatedCipher::kNonceSize + msg.size() +
+                                AuthenticatedCipher::kTagSize);
+  Result<Bytes> opened = c.Open(*sealed, aad);
+  ASSERT_TRUE(opened.ok());
+  EXPECT_EQ(*opened, msg);
+
+  Bytes corrupted = *sealed;
+  for (size_t byte = 0; byte < corrupted.size(); ++byte) {
+    for (int bit = 0; bit < 8; ++bit) {
+      corrupted[byte] ^= static_cast<uint8_t>(1u << bit);
+      Result<Bytes> bad = c.Open(corrupted, aad);
+      corrupted[byte] ^= static_cast<uint8_t>(1u << bit);
+      ASSERT_FALSE(bad.ok()) << "flip of bit " << bit << " of byte " << byte;
+      ASSERT_EQ(bad.status().code(), StatusCode::kIntegrityViolation)
+          << "flip of bit " << bit << " of byte " << byte;
+    }
+  }
+  for (size_t len = 0; len < sealed->size(); ++len) {
+    Bytes truncated(sealed->begin(),
+                    sealed->begin() + static_cast<ptrdiff_t>(len));
+    Result<Bytes> bad = c.Open(truncated, aad);
+    ASSERT_FALSE(bad.ok()) << "truncated to " << len;
+    ASSERT_EQ(bad.status().code(), StatusCode::kIntegrityViolation)
+        << "truncated to " << len;
+  }
+}
+
 }  // namespace
 }  // namespace hsis::crypto

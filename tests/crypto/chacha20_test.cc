@@ -162,5 +162,59 @@ TEST(ChaCha20Test, BlockwiseProcessMatchesRfc8439AtEveryLength) {
   }
 }
 
+// The 4-lane kernel takes every run of four whole blocks, which the
+// 0..200 sweep above never reaches. Every length 0..1100 runs in one
+// call and in two calls cut at each 64-byte boundary (each 256-byte
+// boundary is one of them) and one byte either side. The second stream
+// starts at counter 0xFFFFFFFE, so the 32-bit counter wraps inside the
+// kernel. The reference is the RFC 8439 block function, block by block.
+TEST(ChaCha20Test, FourBlockKernelMatchesRfc8439BlockFunction) {
+  Bytes key(ChaCha20::kKeySize), nonce(ChaCha20::kNonceSize);
+  for (size_t i = 0; i < key.size(); ++i) key[i] = static_cast<uint8_t>(i);
+  for (size_t i = 0; i < nonce.size(); ++i) {
+    nonce[i] = static_cast<uint8_t>(0xa0 + i);
+  }
+  std::array<uint32_t, 8> key_words;
+  for (uint32_t i = 0; i < 8; ++i) {
+    key_words[i] = (4 * i) | ((4 * i + 1) << 8) | ((4 * i + 2) << 16) |
+                   ((4 * i + 3) << 24);
+  }
+  const std::array<uint32_t, 3> nonce_words = {0xa3a2a1a0, 0xa7a6a5a4,
+                                               0xabaaa9a8};
+  constexpr size_t kMax = 1100;
+
+  for (uint32_t start : {uint32_t{1}, uint32_t{0xFFFFFFFE}}) {
+    Bytes keystream;
+    for (uint32_t counter = start; keystream.size() < kMax; ++counter) {
+      std::array<uint8_t, 64> b =
+          ChaCha20::Block(key_words, nonce_words, counter);
+      keystream.insert(keystream.end(), b.begin(), b.end());
+    }
+    auto run = [&](size_t len, size_t cut) {
+      Bytes data(len);
+      for (size_t i = 0; i < len; ++i) {
+        data[i] = static_cast<uint8_t>(5 * i + 1);
+      }
+      Bytes want = data;
+      for (size_t i = 0; i < len; ++i) want[i] ^= keystream[i];
+      Result<ChaCha20> cipher = ChaCha20::Create(key, nonce, start);
+      EXPECT_TRUE(cipher.ok());
+      cipher->Process(data.data(), cut);
+      cipher->Process(data.data() + cut, len - cut);
+      return data == want;
+    };
+    for (size_t len = 0; len <= kMax; ++len) {
+      EXPECT_TRUE(run(len, len)) << "start " << start << " len " << len;
+      for (size_t boundary = 64; boundary <= len; boundary += 64) {
+        for (size_t cut : {boundary - 1, boundary, boundary + 1}) {
+          if (cut > len) continue;
+          EXPECT_TRUE(run(len, cut))
+              << "start " << start << " len " << len << " cut " << cut;
+        }
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace hsis::crypto

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <utility>
+#include <vector>
+
 namespace hsis::sovereign {
 namespace {
 
@@ -18,6 +23,33 @@ TEST(DatasetTest, CanonicalOrderIndependentOfInsertion) {
   EXPECT_EQ(a, b);
   EXPECT_EQ(a.tuples()[0].ToString(), "a");
   EXPECT_EQ(a.tuples()[2].ToString(), "c");
+}
+
+// The vector constructor skips its sort on input already in canonical
+// order; sorted, unsorted and duplicate-laden input must all land on
+// the order repeated `Add` calls build.
+TEST(DatasetTest, VectorConstructorMatchesAddOnAnyInputOrder) {
+  const std::vector<std::vector<std::string>> inputs = {
+      {},
+      {"a"},
+      {"a", "b", "c", "d"},
+      {"d", "c", "b", "a"},
+      {"b", "a", "c", "a"},
+      {"a", "a", "b", "b", "b"},
+      {"b", "b", "a", "a", "b"},
+      {"ab", "a", "", "b", ""},
+  };
+  for (const std::vector<std::string>& values : inputs) {
+    std::vector<Tuple> tuples;
+    Dataset added;
+    for (const std::string& v : values) {
+      tuples.push_back(Tuple::FromString(v));
+      added.Add(Tuple::FromString(v));
+    }
+    const Dataset built(std::move(tuples));
+    EXPECT_EQ(built, added) << values.size() << " values";
+    EXPECT_TRUE(std::is_sorted(built.tuples().begin(), built.tuples().end()));
+  }
 }
 
 TEST(DatasetTest, AddKeepsOrder) {
