@@ -38,9 +38,6 @@ struct ProtocolTrafficOptions {
   double audit_fraction = 0.5;
   /// Streamed-path frame size (IntersectionOptions.chunk_size).
   size_t chunk_size = 32;
-  /// Crypto/wire overlap per session (IntersectionOptions.pipeline_depth,
-  /// >= 1). Statistics are bit-identical for every depth.
-  size_t pipeline_depth = 1;
   /// Modexp worker threads inside each session (0 = hardware).
   int threads = 1;
   /// Worker threads across sessions (0 = hardware). Statistics are

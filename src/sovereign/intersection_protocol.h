@@ -34,7 +34,7 @@ struct FaultInjection {
   }
 };
 
-/// Default frame size (tuples per wire chunk) of the streamed path.
+/// Default frame size (tuples per wire chunk) of the chunked entry point.
 inline constexpr size_t kDefaultIntersectionChunkSize = 4096;
 
 /// Options for a sovereign set-intersection run.
@@ -42,36 +42,24 @@ struct IntersectionOptions {
   /// When set, run the intersection-*size* variant (the paper's footnote
   /// 3): parties learn |D_A ∩ D_B| but not which tuples are common.
   bool size_only = false;
-  /// Streamed-path frame size in tuples (`RunTwoPartyIntersectionStreamed`):
-  /// each party hashes, encrypts, shuffles, and ships its set in frames
-  /// of at most this many tuples. Must be >= 1 there; the legacy
-  /// whole-set `RunTwoPartyIntersection` ignores it.
+  /// Frame size in tuples (`RunTwoPartyIntersectionStreamed`): each
+  /// party hashes, encrypts, shuffles, and ships its set in frames of at
+  /// most this many tuples. Must be >= 1. `RunTwoPartyIntersection`
+  /// replaces it with one frame per list.
   size_t chunk_size = kDefaultIntersectionChunkSize;
-  /// Worker threads for the streamed path's parallel modexp stages
+  /// Worker threads for the parallel modexp stages
   /// (crypto/parallel_modexp.h): 0 = hardware concurrency, negative is
   /// InvalidArgument — the `ParseThreadsValue` flag contract. Results
-  /// are bit-identical for every thread count. Ignored by the legacy
-  /// path.
+  /// and wire bytes are bit-identical for every thread count.
   int threads = 1;
-  /// Streamed-path crypto/wire overlap: number of encrypted frames that
-  /// may be in flight between the modexp stage and the AEAD/channel
-  /// stage. 1 (the default) is the serial hand-off; depth >= 2 runs the
-  /// encryption of chunk k+1 on a producer thread while chunk k is being
-  /// sealed and shipped, buffering at most `pipeline_depth` finished
-  /// frames. Frames are produced and sent strictly in order, so the wire
-  /// transcript and the outcome are byte-identical at every depth. Must
-  /// be >= 1 (validated like `chunk_size`); the legacy path ignores it.
-  size_t pipeline_depth = 1;
   /// Robustness-testing hooks (see FaultInjection).
   FaultInjection fault_injection;
 };
 
-/// Validates the streamed-path knobs: `chunk_size == 0`,
-/// `pipeline_depth == 0`, and `threads < 0` are InvalidArgument,
-/// mirroring the `ParseThreadsValue` / `ParseShardsValue` flag contract
-/// (0 threads = hardware concurrency).
-/// `RunTwoPartyIntersectionStreamed` calls this before touching the
-/// channel.
+/// Validates the knobs: `chunk_size == 0` and `threads < 0` are
+/// InvalidArgument, mirroring the `ParseThreadsValue` /
+/// `ParseShardsValue` flag contract (0 threads = hardware concurrency).
+/// Both entry points call this before touching the channel.
 Status ValidateIntersectionOptions(const IntersectionOptions& options);
 
 /// What one party walks away with after the protocol.
@@ -113,37 +101,46 @@ struct IntersectionOutcome {
 /// Neither party's cleartext tuples ever cross the channel; each learns
 /// only the result (plus the upper bound |D̂_j| inherent to the
 /// protocol). Returns the outcome for (party A, party B).
+///
+/// This is `RunTwoPartyIntersectionStreamed` with `chunk_size =
+/// max(|D̂_A|, |D̂_B|, 1)`: every element list is one frame, so each
+/// shuffle covers the whole set. Invalid `threads` is InvalidArgument;
+/// `options.chunk_size` is ignored.
 Result<std::pair<IntersectionOutcome, IntersectionOutcome>>
 RunTwoPartyIntersection(const Dataset& reported_a, const Dataset& reported_b,
                         const crypto::PrimeGroup& group,
                         const crypto::MultisetHashFamily& commitment_family,
                         Rng& rng, const IntersectionOptions& options = {});
 
-/// The streamed/batched pipeline over the same protocol: datasets are
-/// iterated in fixed-size frames (`DatasetSource`), each frame is
+/// The same protocol with every element list shipped in frames of
+/// `options.chunk_size` tuples (`DatasetSource`): each frame is
 /// hashed-to-group and encrypted by the parallel modexp stage
 /// (crypto/parallel_modexp.h, `options.threads` workers), shuffled
-/// frame-locally under a per-chunk `Rng::ForIndex` stream, and shipped
-/// as a chunk-framed element stream (sovereign/stream_frame.h) that the
-/// receiver reassembles and double-encrypts chunk by chunk. Commitments
+/// frame-locally with `rng` on the caller thread, and shipped as a
+/// chunk-framed element stream (sovereign/stream_frame.h) that the
+/// receiver reassembles and double-encrypts frame by frame. Commitments
 /// fold over `options.threads` in tiles (sovereign/set_ops.h) —
 /// bit-identical to the whole-set hash by the multiset hash's
 /// incrementality.
 ///
-/// The differential contract against the legacy whole-set path (pinned
-/// by tests/sovereign/streamed_protocol_test.cc): for every chunk size
-/// and thread count, `intersection`, `intersection_size`,
-/// `own_commitment`, and `peer_commitment` are byte-identical to
-/// `RunTwoPartyIntersection` on the same inputs, and `bytes_sent` is
-/// identical across thread counts. A single-chunk stream (`chunk_size
-/// >= |D|` for both parties) is wire-size-identical to the legacy path,
-/// so `bytes_sent` matches it exactly; smaller chunks add exactly 10
-/// header bytes plus one AEAD seal per continuation frame.
+/// The contract (pinned by tests/sovereign/streamed_protocol_test.cc
+/// against frozen digests of the whole-set outcome):
+///   - `intersection`, `intersection_size`, `own_commitment`, and
+///     `peer_commitment` are the same at every chunk size and thread
+///     count, and equal the whole-set run on the same inputs;
+///   - the wire transcript, hence `bytes_sent`, and every draw from
+///     `rng` are the same at every thread count;
+///   - shuffles draw from `rng` frame by frame, in the order the frames
+///     are sent (A's set, B's set, then in size-only mode A's reply and
+///     B's reply), so a single-frame run (`chunk_size >= |D|` for both
+///     parties) makes exactly the whole-set run's draws and sends its
+///     bytes; smaller chunks add exactly 10 header bytes plus one AEAD
+///     seal per continuation frame.
 ///
-/// Privacy note: the whole-set shuffle becomes frame-local, so the
-/// hiding set for "which transmitted ciphertext is which tuple" narrows
-/// from the dataset to the frame; pick `chunk_size` with that in mind
-/// (the default 4096 keeps the hiding set large while bounding frame
+/// Privacy note: the shuffle is frame-local, so the hiding set for
+/// "which transmitted ciphertext is which tuple" narrows from the
+/// dataset to the frame; pick `chunk_size` with that in mind (the
+/// default 4096 keeps the hiding set large while bounding frame
 /// memory).
 Result<std::pair<IntersectionOutcome, IntersectionOutcome>>
 RunTwoPartyIntersectionStreamed(

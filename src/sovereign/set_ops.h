@@ -17,9 +17,9 @@
 /// \brief Set-level helpers shared by every sovereign protocol path:
 /// the flat multiset resolve and the tiled dataset commitment.
 ///
-/// The two-party paths (legacy and streamed) and the n-party ring all
-/// end the same way: match double-encrypted values against a multiset
-/// with multiplicities, and publish a multiset-hash commitment of the
+/// The two-party protocol and the n-party ring both end the same way:
+/// match double-encrypted values against a multiset with
+/// multiplicities, and publish a multiset-hash commitment of the
 /// reported dataset. Both live here once, over flat vectors instead of
 /// node-based maps, so the resolve is a sort plus binary searches and
 /// the commitment folds in parallel tiles.

@@ -5,7 +5,7 @@
 // the whole-set hash, for every scheme, over randomized datasets with
 // duplicates, empty chunks, and degenerate sizes. This is the property
 // that lets RunTwoPartyIntersectionStreamed commit chunk by chunk while
-// staying bit-identical to the legacy whole-set commitment.
+// staying bit-identical to the whole-set commitment.
 
 #include <gtest/gtest.h>
 

@@ -1,4 +1,7 @@
-// Robustness of the intersection protocol against a deviating peer.
+// Robustness of the whole-set intersection entry point
+// (RunTwoPartyIntersection, one frame per list) against a deviating peer.
+// The same deviations over chunked runs are the StreamedFaultInjectionTest
+// matrix in streamed_protocol_test.cc.
 //
 // Structural deviations (dropped pairs, malformed frames, wrong message
 // types) are detected as ProtocolViolation. A *covert* deviation —

@@ -79,7 +79,7 @@ TEST(StreamFrameFuzzTest, PristineStreamsRoundTrip) {
                           << s.message();
       EXPECT_TRUE(complete) << "n=" << n << " chunk=" << chunk;
       EXPECT_EQ(got, elements) << "n=" << n << " chunk=" << chunk;
-      // A single-chunk stream is exactly the legacy whole-set message.
+      // A single-chunk stream is exactly the whole-set message.
       if (chunk >= n) {
         EXPECT_EQ(frames.size(), 1u);
       }

@@ -1,26 +1,33 @@
-// Differential suite pinning the streamed intersection pipeline
-// (RunTwoPartyIntersectionStreamed) bit-identical to the legacy
-// whole-set path: for every tested chunk size and thread count, the
-// intersection, its size, and both commitment byte strings match the
-// legacy outcome exactly, and bytes_sent is invariant across thread
-// counts. A single-frame stream (chunk_size >= both set sizes) is
-// wire-size-identical to the legacy path, so bytes_sent matches it
-// exactly there; smaller chunks pay exactly the documented continuation
-// framing overhead and nothing else. The fault-injection matrix and the
-// sim-layer traffic campaign ride along under the same binary.
+// The two-party protocol's contract, pinned against frozen outcomes.
+//
+// `RunTwoPartyIntersection` (one frame per list) and
+// `RunTwoPartyIntersectionStreamed` share one body. The pins below were
+// recorded from the original whole-set implementation before it was
+// folded into the chunked one: for the differential corpus (seeds
+// 101/202/303 in full and size-only mode, plus an empty set A) they fix
+// the intersection, its size, both commitments, the single-frame
+// bytes_sent of both parties, and the caller's next `rng.NextUint64()`
+// after the run. Every cell of the chunk {1, 7, 64, n, n+1} × threads
+// {1, 2, 8} matrix (n = the larger set) must reproduce the outcome;
+// bytes_sent must not depend on the thread count; single-frame cells
+// must reproduce the pinned bytes and Rng draw exactly, which holds only
+// if frames are shuffled with the caller's Rng in frame order. The
+// fault-injection matrix and the sim-layer traffic campaign ride along
+// under the same binary.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
+#include "crypto/sha256.h"
 #include "sim/protocol_traffic.h"
 #include "sovereign/intersection_protocol.h"
 
 namespace hsis::sovereign {
 namespace {
 
-constexpr size_t kChunkSizes[] = {1, 7, 64, 41, 42};
 constexpr int kThreadCounts[] = {1, 2, 8};
 
 crypto::MultisetHashFamily MuFamily() {
@@ -50,166 +57,187 @@ Dataset MatrixSetB() {
   return Dataset::FromStrings(v);
 }
 
+/// SHA-256 over each tuple as [u32 big-endian length][value bytes], in
+/// the dataset's canonical order.
+std::string TuplesDigest(const Dataset& d) {
+  Bytes all;
+  for (const Tuple& t : d.tuples()) {
+    AppendUint32BE(all, static_cast<uint32_t>(t.value.size()));
+    Append(all, t.value);
+  }
+  return HexEncode(crypto::Sha256::Hash(all));
+}
+
+std::string BytesDigest(const Bytes& b) {
+  return HexEncode(crypto::Sha256::Hash(b));
+}
+
+constexpr char kCommonDigest[] =
+    "2e0afd2981948d0f951db3bc9776fde3e115816f62c2c24a40c0b6b627c6fe29";
+constexpr char kEmptyDigest[] =
+    "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855";
+constexpr char kCommitA[] =
+    "90e74de77c8c3df0f22226fda191e33db0cb7ceabcecb21c88034509489e2409";
+constexpr char kCommitB[] =
+    "9bde241482e97098e6fb5070836828974b7bf08f6c688073490a7a11ecd45e92";
+constexpr char kCommitEmpty[] =
+    "2566f5e4f69d2a2659b2fbd6a150fd892bec98394a6c907299090817294324ef";
+
+/// One frozen whole-set outcome of the differential corpus.
+struct Pin {
+  uint64_t seed;
+  bool size_only;
+  bool empty_a;                   // A reports nothing; B is MatrixSetB
+  const char* intersection;       // TuplesDigest of both parties' view
+  size_t intersection_size;
+  const char* commitment_a;       // BytesDigest of A's commitment
+  const char* commitment_b;
+  size_t bytes_a, bytes_b;        // single-frame bytes_sent
+  uint64_t next_draw;             // rng.NextUint64() after the run
+};
+
+constexpr Pin kPins[] = {
+    {101, false, false, kCommonDigest, 20, kCommitA, kCommitB, 4060, 4092,
+     0x84593c4a48fc63fcULL},
+    {202, false, false, kCommonDigest, 20, kCommitA, kCommitB, 4060, 4092,
+     0xf7eba53bb8635320ULL},
+    {303, false, false, kCommonDigest, 20, kCommitA, kCommitB, 4060, 4092,
+     0x7aabae9e4313c1b2ULL},
+    {101, true, false, kEmptyDigest, 20, kCommitA, kCommitB, 2780, 2780,
+     0x097147b803b81cb9ULL},
+    {202, true, false, kEmptyDigest, 20, kCommitA, kCommitB, 2780, 2780,
+     0x53d302c319443315ULL},
+    {303, true, false, kEmptyDigest, 20, kCommitA, kCommitB, 2780, 2780,
+     0x5a025ce693ecb236ULL},
+    {505, false, true, kEmptyDigest, 0, kCommitEmpty, kCommitB, 2748, 1468,
+     0x9f8f56b7bb42007bULL},
+    {505, true, true, kEmptyDigest, 0, kCommitEmpty, kCommitB, 1468, 1468,
+     0x087f6858fd07c8b2ULL},
+};
+
 using Outcomes = std::pair<IntersectionOutcome, IntersectionOutcome>;
 
-Outcomes RunLegacy(uint64_t seed, bool size_only) {
-  Rng rng(seed);
+/// A run plus the caller's next draw after it.
+struct Run {
+  Outcomes outcomes;
+  uint64_t next_draw = 0;
+};
+
+Dataset PinSetA(const Pin& pin) {
+  return pin.empty_a ? Dataset() : MatrixSetA();
+}
+
+/// `chunk_size == 0` runs the whole-set entry point.
+Run RunPin(const Pin& pin, size_t chunk_size, int threads) {
+  Rng rng(pin.seed);
   IntersectionOptions options;
-  options.size_only = size_only;
-  Result<Outcomes> run = RunTwoPartyIntersection(MatrixSetA(), MatrixSetB(),
-                                                 Group(), MuFamily(), rng,
-                                                 options);
+  options.size_only = pin.size_only;
+  options.chunk_size = chunk_size;
+  options.threads = threads;
+  Result<Outcomes> run =
+      chunk_size == 0
+          ? RunTwoPartyIntersection(PinSetA(pin), MatrixSetB(), Group(),
+                                    MuFamily(), rng, options)
+          : RunTwoPartyIntersectionStreamed(PinSetA(pin), MatrixSetB(),
+                                            Group(), MuFamily(), rng,
+                                            options);
   EXPECT_TRUE(run.ok()) << run.status().message();
-  return std::move(*run);
+  return {std::move(*run), rng.NextUint64()};
 }
 
 Outcomes RunStreamed(uint64_t seed, bool size_only, size_t chunk_size,
-                     int threads, size_t pipeline_depth = 1) {
+                     int threads) {
   Rng rng(seed);
   IntersectionOptions options;
   options.size_only = size_only;
   options.chunk_size = chunk_size;
   options.threads = threads;
-  options.pipeline_depth = pipeline_depth;
   Result<Outcomes> run = RunTwoPartyIntersectionStreamed(
       MatrixSetA(), MatrixSetB(), Group(), MuFamily(), rng, options);
   EXPECT_TRUE(run.ok()) << run.status().message();
   return std::move(*run);
 }
 
-/// Everything except bytes_sent must match the legacy outcome exactly.
-void ExpectOutcomeEqual(const IntersectionOutcome& got,
-                        const IntersectionOutcome& want,
-                        const std::string& label) {
-  EXPECT_EQ(got.intersection, want.intersection) << label;
-  EXPECT_EQ(got.intersection_size, want.intersection_size) << label;
-  EXPECT_EQ(got.own_commitment, want.own_commitment) << label;
-  EXPECT_EQ(got.peer_commitment, want.peer_commitment) << label;
-}
-
-TEST(StreamedProtocolTest, DifferentialMatrixFullMode) {
-  const Outcomes legacy = RunLegacy(101, /*size_only=*/false);
-  ASSERT_EQ(legacy.first.intersection_size, 20u);
-  for (size_t chunk : kChunkSizes) {
-    // bytes_sent must not depend on the thread count; pin against the
-    // single-threaded run of the same chunk size.
-    const Outcomes baseline =
-        RunStreamed(101, /*size_only=*/false, chunk, /*threads=*/1);
-    for (int threads : kThreadCounts) {
-      const std::string label = "chunk=" + std::to_string(chunk) +
-                                " threads=" + std::to_string(threads);
-      const Outcomes streamed =
-          RunStreamed(101, /*size_only=*/false, chunk, threads);
-      ExpectOutcomeEqual(streamed.first, legacy.first, "A " + label);
-      ExpectOutcomeEqual(streamed.second, legacy.second, "B " + label);
-      EXPECT_EQ(streamed.first.bytes_sent, baseline.first.bytes_sent) << label;
-      EXPECT_EQ(streamed.second.bytes_sent, baseline.second.bytes_sent)
-          << label;
-    }
+/// The outcome (everything except bytes_sent and the Rng) must match the
+/// pin exactly.
+void ExpectPinnedOutcome(const Outcomes& got, const Pin& pin,
+                         const std::string& label) {
+  for (const IntersectionOutcome* party : {&got.first, &got.second}) {
+    EXPECT_EQ(TuplesDigest(party->intersection), pin.intersection) << label;
+    EXPECT_EQ(party->intersection_size, pin.intersection_size) << label;
   }
+  EXPECT_EQ(BytesDigest(got.first.own_commitment), pin.commitment_a) << label;
+  EXPECT_EQ(BytesDigest(got.second.own_commitment), pin.commitment_b)
+      << label;
+  EXPECT_EQ(got.first.peer_commitment, got.second.own_commitment) << label;
+  EXPECT_EQ(got.second.peer_commitment, got.first.own_commitment) << label;
 }
 
-TEST(StreamedProtocolTest, DifferentialMatrixSizeOnly) {
-  const Outcomes legacy = RunLegacy(202, /*size_only=*/true);
-  ASSERT_EQ(legacy.first.intersection_size, 20u);
-  for (size_t chunk : kChunkSizes) {
-    const Outcomes baseline =
-        RunStreamed(202, /*size_only=*/true, chunk, /*threads=*/1);
-    for (int threads : kThreadCounts) {
-      const std::string label = "chunk=" + std::to_string(chunk) +
-                                " threads=" + std::to_string(threads);
-      const Outcomes streamed =
-          RunStreamed(202, /*size_only=*/true, chunk, threads);
-      ExpectOutcomeEqual(streamed.first, legacy.first, "A " + label);
-      ExpectOutcomeEqual(streamed.second, legacy.second, "B " + label);
-      EXPECT_TRUE(streamed.first.intersection.empty()) << label;
-      EXPECT_EQ(streamed.first.bytes_sent, baseline.first.bytes_sent) << label;
-      EXPECT_EQ(streamed.second.bytes_sent, baseline.second.bytes_sent)
-          << label;
-    }
-  }
+/// Single-frame runs send the pinned bytes and leave the caller's Rng
+/// where the whole-set run left it.
+void ExpectPinnedWire(const Run& run, const Pin& pin,
+                      const std::string& label) {
+  EXPECT_EQ(run.outcomes.first.bytes_sent, pin.bytes_a) << label;
+  EXPECT_EQ(run.outcomes.second.bytes_sent, pin.bytes_b) << label;
+  EXPECT_EQ(run.next_draw, pin.next_draw) << label;
 }
 
-TEST(StreamedProtocolTest, PipelinedDifferentialMatrixFullMode) {
-  // The crypto/wire overlap must be invisible on the wire: at every
-  // chunk size × thread count × pipeline depth the outcome equals the
-  // legacy path and bytes_sent equals the serial (depth-1) schedule of
-  // the same chunk size — the producer may only run ahead, never
-  // reorder or reframe.
-  const Outcomes legacy = RunLegacy(101, /*size_only=*/false);
-  for (size_t chunk : kChunkSizes) {
-    const Outcomes serial =
-        RunStreamed(101, /*size_only=*/false, chunk, /*threads=*/1);
-    for (size_t depth : {size_t{2}, size_t{3}}) {
+void CheckMatrix(bool size_only) {
+  for (const Pin& pin : kPins) {
+    if (pin.size_only != size_only) continue;
+    const std::string corpus = "seed=" + std::to_string(pin.seed) +
+                               (pin.empty_a ? " empty-A" : "");
+    const Run whole = RunPin(pin, /*chunk_size=*/0, /*threads=*/1);
+    ExpectPinnedOutcome(whole.outcomes, pin, corpus + " whole-set");
+    ExpectPinnedWire(whole, pin, corpus + " whole-set");
+
+    const size_t n = std::max(PinSetA(pin).size(), MatrixSetB().size());
+    for (size_t chunk : {size_t{1}, size_t{7}, size_t{64}, n, n + 1}) {
+      // bytes_sent and the Rng draws must not depend on the thread
+      // count; pin against the single-threaded run of the same chunk.
+      const Run baseline = RunPin(pin, chunk, /*threads=*/1);
       for (int threads : kThreadCounts) {
-        const std::string label = "chunk=" + std::to_string(chunk) +
-                                  " depth=" + std::to_string(depth) +
+        const std::string label = corpus + " chunk=" + std::to_string(chunk) +
                                   " threads=" + std::to_string(threads);
-        const Outcomes piped =
-            RunStreamed(101, /*size_only=*/false, chunk, threads, depth);
-        ExpectOutcomeEqual(piped.first, legacy.first, "A " + label);
-        ExpectOutcomeEqual(piped.second, legacy.second, "B " + label);
-        EXPECT_EQ(piped.first.bytes_sent, serial.first.bytes_sent) << label;
-        EXPECT_EQ(piped.second.bytes_sent, serial.second.bytes_sent) << label;
+        const Run run = RunPin(pin, chunk, threads);
+        ExpectPinnedOutcome(run.outcomes, pin, label);
+        EXPECT_EQ(run.outcomes.first.bytes_sent,
+                  baseline.outcomes.first.bytes_sent)
+            << label;
+        EXPECT_EQ(run.outcomes.second.bytes_sent,
+                  baseline.outcomes.second.bytes_sent)
+            << label;
+        EXPECT_EQ(run.next_draw, baseline.next_draw) << label;
+        if (chunk >= n) ExpectPinnedWire(run, pin, label);
       }
     }
   }
 }
 
-TEST(StreamedProtocolTest, PipelinedDifferentialMatrixSizeOnly) {
-  const Outcomes legacy = RunLegacy(202, /*size_only=*/true);
-  for (size_t chunk : kChunkSizes) {
-    const Outcomes serial =
-        RunStreamed(202, /*size_only=*/true, chunk, /*threads=*/1);
-    for (size_t depth : {size_t{2}, size_t{3}}) {
-      const std::string label = "chunk=" + std::to_string(chunk) +
-                                " depth=" + std::to_string(depth);
-      const Outcomes piped =
-          RunStreamed(202, /*size_only=*/true, chunk, /*threads=*/2, depth);
-      ExpectOutcomeEqual(piped.first, legacy.first, "A " + label);
-      ExpectOutcomeEqual(piped.second, legacy.second, "B " + label);
-      EXPECT_TRUE(piped.first.intersection.empty()) << label;
-      EXPECT_EQ(piped.first.bytes_sent, serial.first.bytes_sent) << label;
-      EXPECT_EQ(piped.second.bytes_sent, serial.second.bytes_sent) << label;
-    }
-  }
+TEST(StreamedProtocolTest, DifferentialMatrixFullMode) {
+  CheckMatrix(/*size_only=*/false);
 }
 
-TEST(StreamedProtocolTest, PipelineDepthBeyondChunkCountIsHarmless) {
-  // A depth larger than the stream (or a single-chunk stream under any
-  // depth) degenerates gracefully: same outcome, same bytes.
-  const Outcomes serial = RunStreamed(505, /*size_only=*/false, 7, 1);
-  for (size_t depth : {size_t{64}, size_t{1000}}) {
-    const Outcomes piped = RunStreamed(505, false, 7, 2, depth);
-    ExpectOutcomeEqual(piped.first, serial.first,
-                       "depth=" + std::to_string(depth));
-    EXPECT_EQ(piped.first.bytes_sent, serial.first.bytes_sent);
-  }
-  const Outcomes one_frame = RunStreamed(505, false, 64, 1);
-  const Outcomes one_piped = RunStreamed(505, false, 64, 2, 3);
-  ExpectOutcomeEqual(one_piped.first, one_frame.first, "single frame");
-  EXPECT_EQ(one_piped.first.bytes_sent, one_frame.first.bytes_sent);
+TEST(StreamedProtocolTest, DifferentialMatrixSizeOnly) {
+  CheckMatrix(/*size_only=*/true);
 }
 
 TEST(StreamedProtocolTest, SingleFrameStreamMatchesLegacyWireBytes) {
-  // chunk_size >= both set sizes means every element list is a single
-  // opening frame with the legacy layout: the sealed byte count must
-  // match the legacy path exactly. 41 covers |A| exactly (and > |B|).
-  const Outcomes legacy = RunLegacy(303, /*size_only=*/false);
+  // chunk_size >= both set sizes means every element list is one frame:
+  // the sealed byte count is the pinned whole-set count (seed 303).
+  const Pin& pin = kPins[2];
   for (size_t chunk : {size_t{41}, size_t{42}, size_t{64}, size_t{4096}}) {
     const Outcomes streamed =
         RunStreamed(303, /*size_only=*/false, chunk, /*threads=*/2);
-    EXPECT_EQ(streamed.first.bytes_sent, legacy.first.bytes_sent)
-        << "chunk=" << chunk;
-    EXPECT_EQ(streamed.second.bytes_sent, legacy.second.bytes_sent)
-        << "chunk=" << chunk;
+    EXPECT_EQ(streamed.first.bytes_sent, pin.bytes_a) << "chunk=" << chunk;
+    EXPECT_EQ(streamed.second.bytes_sent, pin.bytes_b) << "chunk=" << chunk;
   }
   // Multi-frame streams pay framing overhead — strictly more bytes,
   // never fewer, and strictly decreasing as frames get larger.
   const Outcomes tiny = RunStreamed(303, false, 1, 1);
   const Outcomes mid = RunStreamed(303, false, 7, 1);
   EXPECT_GT(tiny.first.bytes_sent, mid.first.bytes_sent);
-  EXPECT_GT(mid.first.bytes_sent, legacy.first.bytes_sent);
+  EXPECT_GT(mid.first.bytes_sent, pin.bytes_a);
 }
 
 TEST(StreamedProtocolTest, ContinuationOverheadIsExactlyFraming) {
@@ -298,10 +326,6 @@ TEST(StreamedProtocolTest, OptionValidation) {
   negative_threads.threads = -1;
   EXPECT_EQ(ValidateIntersectionOptions(negative_threads).code(),
             StatusCode::kInvalidArgument);
-  IntersectionOptions zero_depth;
-  zero_depth.pipeline_depth = 0;
-  EXPECT_EQ(ValidateIntersectionOptions(zero_depth).code(),
-            StatusCode::kInvalidArgument);
   EXPECT_TRUE(ValidateIntersectionOptions(IntersectionOptions{}).ok());
   // Hardware-concurrency selection (threads == 0) is valid, per the
   // ParseThreadsValue contract.
@@ -320,16 +344,31 @@ TEST(StreamedProtocolTest, OptionValidation) {
                                         negative_threads);
   ASSERT_FALSE(run.ok());
   EXPECT_EQ(run.status().code(), StatusCode::kInvalidArgument);
-  run = RunTwoPartyIntersectionStreamed(a, a, Group(), MuFamily(), rng,
-                                        zero_depth);
+}
+
+TEST(StreamedProtocolTest, WholeSetRunValidatesThreads) {
+  // The whole-set entry point runs the same validation: a negative
+  // thread count is rejected before any traffic.
+  Rng rng(10);
+  IntersectionOptions negative_threads;
+  negative_threads.threads = -1;
+  Dataset a = Dataset::FromStrings({"p"});
+  auto run = RunTwoPartyIntersection(a, a, Group(), MuFamily(), rng,
+                                     negative_threads);
   ASSERT_FALSE(run.ok());
   EXPECT_EQ(run.status().code(), StatusCode::kInvalidArgument);
 }
 
-// --- Fault-injection matrix over the streamed path -----------------------
+// --- Fault-injection matrix over chunked runs ---------------------------
+//
+// The deviations of fault_injection_test.cc (whole-set entry point) over
+// chunks {1, 2, 64}: structural deviations are ProtocolViolation, a
+// covert swap of well-formed pairs is the semi-honest boundary.
 
 Dataset FaultSetA() { return Dataset::FromStrings({"a", "b", "c", "d"}); }
 Dataset FaultSetB() { return Dataset::FromStrings({"c", "d", "e", "f"}); }
+
+constexpr size_t kFaultChunks[] = {1, 2, 64};
 
 Result<Outcomes> RunStreamedFault(const FaultInjection& faults,
                                   size_t chunk_size) {
@@ -342,7 +381,7 @@ Result<Outcomes> RunStreamedFault(const FaultInjection& faults,
 }
 
 TEST(StreamedFaultInjectionTest, StructuralDeviationsDetected) {
-  for (size_t chunk : {size_t{1}, size_t{2}, size_t{64}}) {
+  for (size_t chunk : kFaultChunks) {
     FaultInjection omit;
     omit.omit_one_reply_pair = true;
     auto run = RunStreamedFault(omit, chunk);
@@ -364,9 +403,9 @@ TEST(StreamedFaultInjectionTest, StructuralDeviationsDetected) {
 }
 
 TEST(StreamedFaultInjectionTest, CovertSwapIsTheSemiHonestBoundary) {
-  // Same boundary as the legacy path: well-formed pairs with swapped
+  // Same boundary as the whole-set run: well-formed pairs with swapped
   // double-encryptions complete the protocol; B's own view stays honest.
-  for (size_t chunk : {size_t{1}, size_t{2}, size_t{64}}) {
+  for (size_t chunk : kFaultChunks) {
     FaultInjection swap;
     swap.swap_reply_pairs = true;
     auto run = RunStreamedFault(swap, chunk);
@@ -378,7 +417,7 @@ TEST(StreamedFaultInjectionTest, CovertSwapIsTheSemiHonestBoundary) {
 TEST(StreamedFaultInjectionTest, WireTamperRejectedByChannel) {
   // A bit flip on the sealed frame is the channel AEAD's job, below the
   // stream reader: IntegrityViolation, not a parse error.
-  for (size_t chunk : {size_t{1}, size_t{2}, size_t{64}}) {
+  for (size_t chunk : kFaultChunks) {
     FaultInjection flip;
     flip.corrupt_reply_frame_bit = true;
     auto run = RunStreamedFault(flip, chunk);
@@ -389,6 +428,7 @@ TEST(StreamedFaultInjectionTest, WireTamperRejectedByChannel) {
 }
 
 TEST(StreamedFaultInjectionTest, WireTamperRejectedOnLegacyPathToo) {
+  // The whole-set entry point seals its one frame per list the same way.
   Rng rng(12);
   IntersectionOptions options;
   options.fault_injection.corrupt_reply_frame_bit = true;
@@ -398,7 +438,7 @@ TEST(StreamedFaultInjectionTest, WireTamperRejectedOnLegacyPathToo) {
   EXPECT_EQ(run.status().code(), StatusCode::kIntegrityViolation);
 }
 
-// --- Heavy-traffic campaigns over the streamed pipeline ------------------
+// --- Heavy-traffic campaigns ---------------------------------------------
 
 TEST(ProtocolTrafficTest, CampaignStatsAreSessionThreadInvariant) {
   sim::ProtocolTrafficOptions options;
@@ -436,34 +476,6 @@ TEST(ProtocolTrafficTest, CampaignStatsAreSessionThreadInvariant) {
   EXPECT_EQ(serial->intersections_total, threaded->intersections_total);
   EXPECT_EQ(serial->bytes_on_wire, threaded->bytes_on_wire);
   EXPECT_EQ(serial->protocol_failures, threaded->protocol_failures);
-}
-
-TEST(ProtocolTrafficTest, CampaignStatsArePipelineDepthInvariant) {
-  // Same contract as thread invariance: the crypto/wire overlap inside
-  // each session must not change a single aggregate statistic.
-  sim::ProtocolTrafficOptions options;
-  options.sessions = 12;
-  options.tuples_per_party = 24;
-  options.common_tuples = 8;
-  options.chunk_size = 5;
-  options.seed = 99;
-  auto serial = sim::RunProtocolTrafficCampaign(options, Group(), MuFamily());
-  ASSERT_TRUE(serial.ok()) << serial.status().message();
-  options.pipeline_depth = 3;
-  options.session_threads = 4;
-  auto piped = sim::RunProtocolTrafficCampaign(options, Group(), MuFamily());
-  ASSERT_TRUE(piped.ok()) << piped.status().message();
-
-  EXPECT_EQ(serial->sessions, piped->sessions);
-  EXPECT_EQ(serial->honest, piped->honest);
-  EXPECT_EQ(serial->withheld, piped->withheld);
-  EXPECT_EQ(serial->probed, piped->probed);
-  EXPECT_EQ(serial->audited, piped->audited);
-  EXPECT_EQ(serial->audit_flags, piped->audit_flags);
-  EXPECT_EQ(serial->tuples_processed, piped->tuples_processed);
-  EXPECT_EQ(serial->intersections_total, piped->intersections_total);
-  EXPECT_EQ(serial->bytes_on_wire, piped->bytes_on_wire);
-  EXPECT_EQ(serial->protocol_failures, piped->protocol_failures);
 }
 
 TEST(ProtocolTrafficTest, AuditsFlagEveryCheater) {
