@@ -44,7 +44,7 @@ const PrimeGroup& PrimeGroup::SmallTestGroup() {
 
 U256 PrimeGroup::ReduceDigest(const U256& digest) const {
   const U256& p = modulus();
-  if (!p.Bit(255)) return DivMod(digest, p).remainder;
+  if (!p.Bit(255)) return ctx_.Reduce(digest);
   // p >= 2^255, so digest < 2^256 <= 2p: one subtraction reduces it.
   return digest >= p ? digest - p : digest;
 }

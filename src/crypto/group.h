@@ -33,13 +33,15 @@ class PrimeGroup {
 
   /// Deterministically maps arbitrary bytes to a group element:
   /// x = SHA-256-derived value mod p, squared to land in the QR subgroup
-  /// (re-derived in the vanishingly unlikely event x == 0).
+  /// (re-derived in the vanishingly unlikely event x == 0). Both steps
+  /// run at p's limb width.
   U256 HashToElement(const Bytes& data) const;
 
   /// digest mod p for any 256-bit `digest`: the reduction step of
   /// `HashToElement`. For p >= 2^255 the digest is below 2p, so one
-  /// conditional subtraction reduces it; narrower moduli take the
-  /// general `DivMod`.
+  /// conditional subtraction reduces it; narrower moduli take
+  /// `MontgomeryContext::Reduce`, a Montgomery reduction at p's width
+  /// (no long division).
   U256 ReduceDigest(const U256& digest) const;
 
   /// True iff `a` is in [1, p) and a^q == 1 (i.e. a is in the subgroup).

@@ -1,6 +1,8 @@
 #include "crypto/modmath.h"
 
 #include <algorithm>
+#include <array>
+#include <type_traits>
 
 #include "common/logging.h"
 
@@ -48,183 +50,306 @@ Result<MontgomeryContext> MontgomeryContext::Create(const U256& modulus) {
   for (int i = 0; i < 6; ++i) inv *= 2 - n0 * inv;
   uint64_t n0inv = ~inv + 1;  // negate mod 2^64
 
-  // r2 = 2^512 mod n, computed by doubling 2^256 mod n 256 times would be
-  // slow; instead reduce the 512-bit value (1 << 512 is not representable,
-  // so reduce (2^256 mod n)^2 with the generic divider).
-  U512 r = U512(1) << 256;
-  U256 r_mod_n = r.Mod(modulus);
+  // R = 2^(64 * limbs) is not representable when limbs == 4, so reduce
+  // it in 512 bits, then square R mod n with the generic divider.
+  const size_t limbs = (modulus.BitLength() + 63) / 64;
+  U256 r_mod_n = (U512(1) << (64 * limbs)).Mod(modulus);
   U256 r2 = U256::MulFull(r_mod_n, r_mod_n).Mod(modulus);
+  U256 r256 = (U512(1) << 256).Mod(modulus);
 
-  return MontgomeryContext(modulus, n0inv, r2);
+  return MontgomeryContext(modulus, limbs, n0inv, r2, r256);
 }
 
 namespace {
 
+template <size_t N>
+using Limbs = std::array<uint64_t, N>;
+
+template <size_t N>
+U256 Widen(const Limbs<N>& a) {
+  U256 out;
+  for (size_t i = 0; i < N; ++i) out.limb[i] = a[i];
+  return out;
+}
+
 // Final conditional subtraction shared by both kernels: given the
-// 5-limb reduction output (t0..t3, t4) < 2n, returns it minus n when it
-// is >= n, else unchanged. Inline limb arithmetic, so the kernels
-// never leave registers for an out-of-line U256 compare and subtract.
-inline U256 SubtractModulusOnce(const uint64_t t[5], const U256& n) {
-  uint64_t d[4];
+// (N + 1)-limb reduction output t < 2n, returns it minus n when it is
+// >= n, else unchanged. Inline limb arithmetic, so the kernels never
+// leave registers for an out-of-line compare and subtract.
+template <size_t N>
+inline Limbs<N> SubtractModulusOnce(const uint64_t* t, const U256& n) {
+  Limbs<N> d{};
   uint64_t borrow = 0;
 #pragma GCC unroll 4
-  for (size_t j = 0; j < 4; ++j) {
+  for (size_t j = 0; j < N; ++j) {
     uint128 diff = static_cast<uint128>(t[j]) - n.limb[j] - borrow;
     d[j] = static_cast<uint64_t>(diff);
     borrow = static_cast<uint64_t>(diff >> 64) & 1;
   }
-  // t >= n iff the top limb is set or the low 256-bit subtraction did
-  // not borrow; the result is then the low 256 bits of t - n.
-  if (t[4] != 0 || borrow == 0) return U256(d[0], d[1], d[2], d[3]);
-  return U256(t[0], t[1], t[2], t[3]);
+  // t >= n iff the top limb is set or the low N-limb subtraction did
+  // not borrow; the result is then the low N limbs of t - n.
+  if (t[N] != 0 || borrow == 0) return d;
+#pragma GCC unroll 4
+  for (size_t j = 0; j < N; ++j) d[j] = t[j];
+  return d;
 }
 
 }  // namespace
 
-// Both kernels below are fixed 4-limb loops that `#pragma GCC unroll`
-// flattens completely, so the t[] accumulator lives in registers: without
-// it GCC at -O2 keeps the loops rolled and every limb product goes
-// through memory.
+/// The Montgomery kernels at a fixed width of N limbs (R = 2^(64N)),
+/// reading the modulus and constants straight from the context. Every
+/// loop runs a compile-time N times and `#pragma GCC unroll` flattens
+/// it completely, so the t[] accumulator lives in registers: without it
+/// GCC at -O2 keeps the loops rolled and every limb product goes
+/// through memory. N = 4 is the full 256-bit kernel.
+template <size_t N>
+class MontKernel {
+ public:
+  using Value = Limbs<N>;
 
-U256 MontgomeryContext::MontMul(const U256& a, const U256& b) const {
-  // CIOS (coarsely integrated operand scanning) Montgomery multiplication.
-  // t has 4 + 2 limbs of headroom.
-  uint64_t t[6] = {0, 0, 0, 0, 0, 0};
+  explicit MontKernel(const MontgomeryContext& ctx) : ctx_(ctx) {}
+
+  /// CIOS (coarsely integrated operand scanning) over the A limbs of
+  /// `a`: a * b * 2^(-64A) mod n, for any A-limb a and any b with
+  /// a * b < 2^(64A) * n (in particular b < n, or a < n and b < R).
+  template <size_t A>
+  Limbs<N> Cios(const uint64_t* a, const Limbs<N>& b) const {
+    const U256& n = ctx_.n_;
+    const uint64_t n0inv = ctx_.n0inv_;
+    // t has N + 2 limbs of headroom.
+    uint64_t t[N + 2] = {};
 
 #pragma GCC unroll 4
-  for (size_t i = 0; i < 4; ++i) {
-    // t += a[i] * b
-    uint64_t carry = 0;
+    for (size_t i = 0; i < A; ++i) {
+      // t += a[i] * b
+      uint64_t carry = 0;
 #pragma GCC unroll 4
-    for (size_t j = 0; j < 4; ++j) {
-      uint128 cur = static_cast<uint128>(a.limb[i]) * b.limb[j] + t[j] + carry;
-      t[j] = static_cast<uint64_t>(cur);
-      carry = static_cast<uint64_t>(cur >> 64);
-    }
-    uint128 cur = static_cast<uint128>(t[4]) + carry;
-    t[4] = static_cast<uint64_t>(cur);
-    t[5] = static_cast<uint64_t>(cur >> 64);
+      for (size_t j = 0; j < N; ++j) {
+        uint128 cur = static_cast<uint128>(a[i]) * b[j] + t[j] + carry;
+        t[j] = static_cast<uint64_t>(cur);
+        carry = static_cast<uint64_t>(cur >> 64);
+      }
+      uint128 cur = static_cast<uint128>(t[N]) + carry;
+      t[N] = static_cast<uint64_t>(cur);
+      t[N + 1] = static_cast<uint64_t>(cur >> 64);
 
-    // m = t[0] * n0inv mod 2^64; t += m * n; t >>= 64
-    uint64_t m = t[0] * n0inv_;
-    carry = 0;
+      // m = t[0] * n0inv mod 2^64; t += m * n; t >>= 64
+      uint64_t m = t[0] * n0inv;
+      carry = 0;
 #pragma GCC unroll 4
-    for (size_t j = 0; j < 4; ++j) {
-      uint128 c2 = static_cast<uint128>(m) * n_.limb[j] + t[j] + carry;
-      t[j] = static_cast<uint64_t>(c2);
-      carry = static_cast<uint64_t>(c2 >> 64);
-    }
-    cur = static_cast<uint128>(t[4]) + carry;
-    t[4] = static_cast<uint64_t>(cur);
-    t[5] += static_cast<uint64_t>(cur >> 64);
+      for (size_t j = 0; j < N; ++j) {
+        uint128 c2 = static_cast<uint128>(m) * n.limb[j] + t[j] + carry;
+        t[j] = static_cast<uint64_t>(c2);
+        carry = static_cast<uint64_t>(c2 >> 64);
+      }
+      cur = static_cast<uint128>(t[N]) + carry;
+      t[N] = static_cast<uint64_t>(cur);
+      t[N + 1] += static_cast<uint64_t>(cur >> 64);
 
-    // shift t right by one limb
+      // shift t right by one limb
 #pragma GCC unroll 5
-    for (size_t j = 0; j < 5; ++j) t[j] = t[j + 1];
-    t[5] = 0;
+      for (size_t j = 0; j < N + 1; ++j) t[j] = t[j + 1];
+      t[N + 1] = 0;
+    }
+
+    return SubtractModulusOnce<N>(t, n);
   }
 
-  return SubtractModulusOnce(t, n_);
+  Limbs<N> Mul(const Limbs<N>& a, const Limbs<N>& b) const {
+    return Cios<N>(a.data(), b);
+  }
+
+  Limbs<N> Sqr(const Limbs<N>& a) const {
+    const U256& n = ctx_.n_;
+    const uint64_t n0inv = ctx_.n0inv_;
+    // Symmetric schoolbook square into 2N limbs: the cross products are
+    // computed once and doubled, then the N diagonal squares are added.
+    uint64_t t[2 * N + 1] = {};
+
+#pragma GCC unroll 4
+    for (size_t i = 0; i < N; ++i) {
+      uint64_t carry = 0;
+#pragma GCC unroll 3
+      for (size_t j = i + 1; j < N; ++j) {
+        uint128 cur =
+            static_cast<uint128>(a[i]) * a[j] + t[i + j] + carry;
+        t[i + j] = static_cast<uint64_t>(cur);
+        carry = static_cast<uint64_t>(cur >> 64);
+      }
+      t[i + N] = carry;
+    }
+
+    // Double the cross products. The cross sum is (a^2 - sum a[i]^2) / 2
+    // < 2^(128N - 1), so the doubled value still fits in 2N limbs.
+    uint64_t top = 0;
+#pragma GCC unroll 8
+    for (size_t k = 0; k < 2 * N; ++k) {
+      uint64_t next = t[k] >> 63;
+      t[k] = (t[k] << 1) | top;
+      top = next;
+    }
+
+    uint64_t carry = 0;
+#pragma GCC unroll 4
+    for (size_t i = 0; i < N; ++i) {
+      uint128 sq = static_cast<uint128>(a[i]) * a[i];
+      uint128 lo = static_cast<uint128>(t[2 * i]) +
+                   static_cast<uint64_t>(sq) + carry;
+      t[2 * i] = static_cast<uint64_t>(lo);
+      uint128 hi = static_cast<uint128>(t[2 * i + 1]) +
+                   static_cast<uint64_t>(sq >> 64) +
+                   static_cast<uint64_t>(lo >> 64);
+      t[2 * i + 1] = static_cast<uint64_t>(hi);
+      carry = static_cast<uint64_t>(hi >> 64);
+    }
+
+    // Separate (SOS) Montgomery reduction of the 2N-limb square: zero
+    // the low limbs one at a time with multiples of n, then take the
+    // high half. Row i's carry lands in t[i + N]; the carry out of that
+    // limb rides into row i + 1's top limb (t[i + N + 1]), and the last
+    // one becomes t[2N].
+    uint64_t spill = 0;
+#pragma GCC unroll 4
+    for (size_t i = 0; i < N; ++i) {
+      uint64_t m = t[i] * n0inv;
+      carry = 0;
+#pragma GCC unroll 4
+      for (size_t j = 0; j < N; ++j) {
+        uint128 cur = static_cast<uint128>(m) * n.limb[j] + t[i + j] + carry;
+        t[i + j] = static_cast<uint64_t>(cur);
+        carry = static_cast<uint64_t>(cur >> 64);
+      }
+      uint128 cur = static_cast<uint128>(t[i + N]) + carry + spill;
+      t[i + N] = static_cast<uint64_t>(cur);
+      spill = static_cast<uint64_t>(cur >> 64);
+    }
+    t[2 * N] = spill;
+
+    return SubtractModulusOnce<N>(t + N, n);
+  }
+
+  /// a mod n for any 256-bit a: CIOS over all four limbs against
+  /// 2^256 mod n gives a * 2^256 * 2^-256.
+  Limbs<N> Reduce(const U256& a) const {
+    return Cios<4>(a.limb.data(), Narrow(ctx_.r256_));
+  }
+
+  /// `a` as an N-limb operand below R: reduced first only when it has
+  /// limbs above N (never at N = 4), so it is never truncated.
+  Limbs<N> Operand(const U256& a) const {
+    if constexpr (N < 4) {
+      for (size_t i = N; i < 4; ++i) {
+        if (a.limb[i] != 0) return Reduce(a);
+      }
+    }
+    return Narrow(a);
+  }
+
+  /// a mod n as an N-limb value, for any 256-bit a.
+  Limbs<N> Reduced(const U256& a) const {
+    return a >= ctx_.n_ ? Reduce(a) : Narrow(a);
+  }
+
+  Limbs<N> ToMont(const Limbs<N>& a) const {
+    return Mul(a, Narrow(ctx_.r2_));
+  }
+
+  Limbs<N> FromMont(const Limbs<N>& a) const { return Mul(a, One()); }
+
+  static Limbs<N> One() {
+    Limbs<N> one{};
+    one[0] = 1;
+    return one;
+  }
+
+  /// The low N limbs of `a`; the caller guarantees the rest are zero.
+  static Limbs<N> Narrow(const U256& a) {
+    Limbs<N> out{};
+    for (size_t i = 0; i < N; ++i) out[i] = a.limb[i];
+    return out;
+  }
+
+ private:
+  const MontgomeryContext& ctx_;
+};
+
+namespace {
+
+/// Calls `body(k)` with `k` the kernel at the width of `ctx`: the one
+/// switch each plain-domain entry point takes per call, so the N-limb
+/// body below it never branches on the width.
+template <typename Body>
+U256 AtWidth(const MontgomeryContext& ctx, const Body& body) {
+  switch (ctx.limbs()) {
+    case 1:
+      return body(MontKernel<1>(ctx));
+    case 2:
+      return body(MontKernel<2>(ctx));
+    case 3:
+      return body(MontKernel<3>(ctx));
+    default:
+      return body(MontKernel<4>(ctx));
+  }
+}
+
+}  // namespace
+
+U256 MontgomeryContext::Reduce(const U256& a) const {
+  return AtWidth(*this, [&](const auto& k) { return Widen(k.Reduce(a)); });
+}
+
+U256 MontgomeryContext::MontMul(const U256& a, const U256& b) const {
+  return AtWidth(*this, [&](const auto& k) {
+    return Widen(k.Mul(k.Narrow(a), k.Narrow(b)));
+  });
 }
 
 U256 MontgomeryContext::MontSqr(const U256& a) const {
-  // Symmetric schoolbook square into 8 limbs: the 6 cross products are
-  // computed once and doubled, then the 4 diagonal squares are added.
-  uint64_t t[9] = {0};
-
-#pragma GCC unroll 4
-  for (size_t i = 0; i < 4; ++i) {
-    uint64_t carry = 0;
-#pragma GCC unroll 3
-    for (size_t j = i + 1; j < 4; ++j) {
-      uint128 cur =
-          static_cast<uint128>(a.limb[i]) * a.limb[j] + t[i + j] + carry;
-      t[i + j] = static_cast<uint64_t>(cur);
-      carry = static_cast<uint64_t>(cur >> 64);
-    }
-    t[i + 4] = carry;
-  }
-
-  // Double the cross products. The cross sum is (a^2 - sum a[i]^2) / 2
-  // < 2^511, so the doubled value still fits in 8 limbs.
-  uint64_t top = 0;
-#pragma GCC unroll 8
-  for (size_t k = 0; k < 8; ++k) {
-    uint64_t next = t[k] >> 63;
-    t[k] = (t[k] << 1) | top;
-    top = next;
-  }
-
-  uint64_t carry = 0;
-#pragma GCC unroll 4
-  for (size_t i = 0; i < 4; ++i) {
-    uint128 sq = static_cast<uint128>(a.limb[i]) * a.limb[i];
-    uint128 lo = static_cast<uint128>(t[2 * i]) + static_cast<uint64_t>(sq) +
-                 carry;
-    t[2 * i] = static_cast<uint64_t>(lo);
-    uint128 hi = static_cast<uint128>(t[2 * i + 1]) +
-                 static_cast<uint64_t>(sq >> 64) +
-                 static_cast<uint64_t>(lo >> 64);
-    t[2 * i + 1] = static_cast<uint64_t>(hi);
-    carry = static_cast<uint64_t>(hi >> 64);
-  }
-
-  // Separate (SOS) Montgomery reduction of the 512-bit square: zero the
-  // low limbs one at a time with multiples of n, then take the high half.
-  // Row i's carry lands in t[i + 4]; the carry out of that limb rides
-  // into row i + 1's top limb (t[i + 5]), and the last one becomes t[8].
-  uint64_t spill = 0;
-#pragma GCC unroll 4
-  for (size_t i = 0; i < 4; ++i) {
-    uint64_t m = t[i] * n0inv_;
-    carry = 0;
-#pragma GCC unroll 4
-    for (size_t j = 0; j < 4; ++j) {
-      uint128 cur = static_cast<uint128>(m) * n_.limb[j] + t[i + j] + carry;
-      t[i + j] = static_cast<uint64_t>(cur);
-      carry = static_cast<uint64_t>(cur >> 64);
-    }
-    uint128 cur = static_cast<uint128>(t[i + 4]) + carry + spill;
-    t[i + 4] = static_cast<uint64_t>(cur);
-    spill = static_cast<uint64_t>(cur >> 64);
-  }
-  t[8] = spill;
-
-  return SubtractModulusOnce(t + 4, n_);
+  return AtWidth(*this,
+                 [&](const auto& k) { return Widen(k.Sqr(k.Narrow(a))); });
 }
 
-U256 MontgomeryContext::ToMont(const U256& a) const { return MontMul(a, r2_); }
+U256 MontgomeryContext::ToMont(const U256& a) const {
+  return AtWidth(*this,
+                 [&](const auto& k) { return Widen(k.ToMont(k.Narrow(a))); });
+}
 
 U256 MontgomeryContext::FromMont(const U256& a) const {
-  return MontMul(a, U256(1));
+  return AtWidth(*this, [&](const auto& k) {
+    return Widen(k.FromMont(k.Narrow(a)));
+  });
 }
 
 U256 MontgomeryContext::ModMul(const U256& a, const U256& b) const {
   // MontMul(a, R^2) = a*R and MontMul(a*R, b) = a*b (mod n): two
   // reductions instead of converting both operands in and the product
-  // out. One operand of each product is below n, which keeps every
-  // intermediate below 2n, so the result is the fully reduced a*b mod n
-  // for any 256-bit a and b.
-  return MontMul(MontMul(a, r2_), b);
+  // out. Both operands are below R and one operand of each product is
+  // below n, which keeps every intermediate below 2n, so the result is
+  // the fully reduced a*b mod n.
+  return AtWidth(*this, [&](const auto& k) {
+    return Widen(k.Mul(k.ToMont(k.Operand(a)), k.Operand(b)));
+  });
 }
 
 U256 MontgomeryContext::ModExp(const U256& base, const U256& exp) const {
-  // Pre-reduce like ModInversePrime so base >= n and base mod n agree.
-  U256 b = (base >= n_) ? DivMod(base, n_).remainder : base;
-  size_t bits = exp.BitLength();
-  if (bits == 0) return U256(1);  // x^0 == 1, including 0^0 by convention
-  if (bits == 1) return b;        // exp == 1
-  U256 result = ToMont(U256(1));
-  U256 acc = ToMont(b);
-  for (size_t i = 0; i < bits; ++i) {
-    if (exp.Bit(i)) result = MontMul(result, acc);
-    acc = MontMul(acc, acc);
-  }
-  return FromMont(result);
+  return AtWidth(*this, [&](const auto& k) {
+    // Pre-reduce like ModInversePrime so base >= n and base mod n agree.
+    const auto b = k.Reduced(base);
+    size_t bits = exp.BitLength();
+    if (bits == 0) return U256(1);  // x^0 == 1, including 0^0 by convention
+    if (bits == 1) return Widen(b);  // exp == 1
+    auto result = k.ToMont(k.One());
+    auto acc = k.ToMont(b);
+    for (size_t i = 0; i < bits; ++i) {
+      if (exp.Bit(i)) result = k.Mul(result, acc);
+      acc = k.Mul(acc, acc);
+    }
+    return Widen(k.FromMont(result));
+  });
 }
 
 Result<U256> MontgomeryContext::ModInversePrime(const U256& a) const {
-  U256 reduced = (a >= n_) ? DivMod(a, n_).remainder : a;
+  U256 reduced = (a >= n_) ? Reduce(a) : a;
   if (reduced.IsZero()) {
     return Status::InvalidArgument("zero has no modular inverse");
   }
@@ -283,30 +408,32 @@ FixedExponentContext::FixedExponentContext(const MontgomeryContext& ctx,
 }
 
 U256 FixedExponentContext::ModExp(const U256& base) const {
-  // Same pre-reduction and exp==0/1 short-circuits as the naive ladder.
-  U256 b = (base >= ctx_.modulus()) ? DivMod(base, ctx_.modulus()).remainder
-                                    : base;
-  if (digits_.empty()) return U256(1);
-  if (digits_.size() == 1 && digits_[0] == 1) return b;
+  return AtWidth(ctx_, [&](const auto& k) {
+    using Value = typename std::decay_t<decltype(k)>::Value;
+    // Same pre-reduction and exp==0/1 short-circuits as the naive ladder.
+    const Value b = k.Reduced(base);
+    if (digits_.empty()) return U256(1);
+    if (digits_.size() == 1 && digits_[0] == 1) return Widen(b);
 
-  // Power table in the Montgomery domain, built only up to the largest
-  // digit the schedule actually uses (<= 2^w entries).
-  U256 table[size_t{1} << kMaxWindowBits];
-  table[0] = mont_one_;
-  if (table_size_ > 1) table[1] = ctx_.ToMont(b);
-  for (size_t i = 2; i < table_size_; ++i) {
-    table[i] = ctx_.MontMul(table[i - 1], table[1]);
-  }
+    // Power table in the Montgomery domain, built only up to the largest
+    // digit the schedule actually uses (<= 2^w entries).
+    Value table[size_t{1} << kMaxWindowBits];
+    table[0] = k.Narrow(mont_one_);
+    if (table_size_ > 1) table[1] = k.ToMont(b);
+    for (size_t i = 2; i < table_size_; ++i) {
+      table[i] = k.Mul(table[i - 1], table[1]);
+    }
 
-  // Left-to-right walk: the leading digit seeds the accumulator, every
-  // later window costs w Montgomery squarings plus one table product
-  // when its digit is nonzero.
-  U256 acc = table[digits_[0]];
-  for (size_t i = 1; i < digits_.size(); ++i) {
-    for (int s = 0; s < window_bits_; ++s) acc = ctx_.MontSqr(acc);
-    if (digits_[i] != 0) acc = ctx_.MontMul(acc, table[digits_[i]]);
-  }
-  return ctx_.FromMont(acc);
+    // Left-to-right walk: the leading digit seeds the accumulator, every
+    // later window costs w Montgomery squarings plus one table product
+    // when its digit is nonzero.
+    Value acc = table[digits_[0]];
+    for (size_t i = 1; i < digits_.size(); ++i) {
+      for (int s = 0; s < window_bits_; ++s) acc = k.Sqr(acc);
+      if (digits_[i] != 0) acc = k.Mul(acc, table[digits_[i]]);
+    }
+    return Widen(k.FromMont(acc));
+  });
 }
 
 }  // namespace hsis::crypto

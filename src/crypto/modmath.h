@@ -25,6 +25,13 @@ U256 Gcd(const U256& a, const U256& b);
 
 /// Precomputed context for fast arithmetic modulo a fixed odd modulus,
 /// using Montgomery multiplication (CIOS reduction).
+///
+/// The kernels run at the modulus's width: `limbs()` = ceil(bits / 64)
+/// 64-bit limbs (1..4) and R = 2^(64 * limbs()), so a `MontMul` modulo
+/// a 64-bit modulus costs 2 limb products instead of 32. Every
+/// plain-domain entry point (`Reduce`, `ModMul`, `ModExp`,
+/// `ModInversePrime`) picks the width once per call; results are the
+/// same integers mod n at every width.
 class MontgomeryContext {
  public:
   /// Builds a context; fails unless `modulus` is odd and > 1.
@@ -32,20 +39,32 @@ class MontgomeryContext {
 
   const U256& modulus() const { return n_; }
 
-  /// Converts into / out of the Montgomery domain.
+  /// Active 64-bit limbs of the modulus, ceil(BitLength(n) / 64); the
+  /// Montgomery radix is R = 2^(64 * limbs()).
+  size_t limbs() const { return limbs_; }
+
+  /// a mod n for any 256-bit `a`, at the modulus's width: one CIOS pass
+  /// over all four limbs of `a` against 2^256 mod n. No long division.
+  U256 Reduce(const U256& a) const;
+
+  /// Converts a value below n into / out of the Montgomery domain:
+  /// ToMont(a) = a * R mod n and FromMont(a) = a * R^-1 mod n.
   U256 ToMont(const U256& a) const;
   U256 FromMont(const U256& a) const;
 
-  /// Product of two Montgomery-domain values (result in the domain).
+  /// a * b * R^-1 mod n for Montgomery-domain values a, b < n (the
+  /// product of a*R and b*R is returned as (a*b)*R). Limbs above
+  /// `limbs()` are not read, so operands must be reduced.
   U256 MontMul(const U256& a, const U256& b) const;
 
   /// Square of a Montgomery-domain value. Returns exactly
   /// `MontMul(a, a)` — same integer, same reduction — but computes the
-  /// 512-bit square with the symmetric schoolbook (10 limb products
-  /// instead of 16) before a separate Montgomery reduction pass.
+  /// double-width square with the symmetric schoolbook (10 limb
+  /// products instead of 16 at four limbs) before a separate Montgomery
+  /// reduction pass.
   U256 MontSqr(const U256& a) const;
 
-  /// (a * b) mod n for plain-domain inputs (< n).
+  /// (a * b) mod n for any 256-bit a and b.
   U256 ModMul(const U256& a, const U256& b) const;
 
   /// base^exp mod n (plain domain), square-and-multiply. A base >= n is
@@ -61,12 +80,18 @@ class MontgomeryContext {
   Result<U256> ModInversePrime(const U256& a) const;
 
  private:
-  MontgomeryContext(const U256& n, uint64_t n0inv, const U256& r2)
-      : n_(n), n0inv_(n0inv), r2_(r2) {}
+  template <size_t N>
+  friend class MontKernel;  // the width-N kernels in modmath.cc
 
-  U256 n_;         // modulus
-  uint64_t n0inv_; // -n^{-1} mod 2^64
-  U256 r2_;        // (2^256)^2 mod n
+  MontgomeryContext(const U256& n, size_t limbs, uint64_t n0inv,
+                    const U256& r2, const U256& r256)
+      : n_(n), limbs_(limbs), n0inv_(n0inv), r2_(r2), r256_(r256) {}
+
+  U256 n_;          // modulus
+  size_t limbs_;    // active limbs of n; R = 2^(64 * limbs_)
+  uint64_t n0inv_;  // -n^{-1} mod 2^64
+  U256 r2_;         // R^2 mod n
+  U256 r256_;       // 2^256 mod n, `Reduce`'s CIOS multiplier
 };
 
 /// Fixed-window modular exponentiation for one fixed exponent.
@@ -82,8 +107,10 @@ class MontgomeryContext {
 ///
 /// Results are bit-identical to `MontgomeryContext::ModExp(base, e)` for
 /// every (base, exponent, modulus): both paths compute the same exact
-/// integer base^e mod n, and both pre-reduce a base >= n. This is pinned
-/// by the differential suite in tests/crypto/fixed_exponent_test.cc.
+/// integer base^e mod n, and both pre-reduce a base >= n. Both run on
+/// the context's width-matched kernel, so the suites in
+/// tests/crypto/fixed_exponent_test.cc and montgomery_oracle_test.cc
+/// pin them against a `ModMulSlow` ladder that shares no kernel code.
 class FixedExponentContext {
  public:
   /// Largest accepted window width. w=6 already needs a 64-entry table

@@ -13,9 +13,10 @@
 /// \brief Deterministic parallel batch stages for the commutative
 /// cipher — the modexp hot loop of the streamed intersection pipeline.
 ///
-/// Per-tuple SRA encryption is a full 256-bit modular exponentiation, so
-/// at production data sizes (10^5–10^6 tuples) the crypto throughput,
-/// not the set logic, bounds the protocol. Both stages here follow the
+/// Per-tuple SRA encryption is one modular exponentiation, run at the
+/// group modulus's limb width (crypto/modmath.h), so at production data
+/// sizes (10^5–10^6 tuples) the crypto throughput, not the set logic,
+/// bounds the protocol. Both stages here follow the
 /// batched-crypto idiom: amortize the fixed per-batch cost, fan the
 /// independent exponentiations out over `common::ParallelForTiles`, and
 /// write each result into its ordered output slot, so a batch is

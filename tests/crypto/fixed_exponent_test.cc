@@ -3,7 +3,9 @@
 // naive `MontgomeryContext::ModExp` ladder — random exponents,
 // adversarial exponent shapes (0, 1, 2^k, all-ones, q-1, n-2),
 // window-boundary bit patterns, every window width, and adversarial
-// bases including unreduced ones (PR 9).
+// bases including unreduced ones — plus wire-sized bases (high limbs
+// set) on narrow moduli, checked against a `ModMulSlow` oracle because
+// both ladders share the width-matched kernel there.
 
 #include <string>
 #include <vector>
@@ -13,6 +15,7 @@
 #include "common/random.h"
 #include "crypto/group.h"
 #include "crypto/modmath.h"
+#include "crypto/parallel_modexp.h"
 #include "crypto/prime.h"
 
 namespace hsis::crypto {
@@ -20,6 +23,18 @@ namespace {
 
 U256 RandBelow(Rng& rng, const U256& m) {
   return DivMod(U256::FromBytesBE(rng.RandomBytes(32)), m).remainder;
+}
+
+/// base^exp mod n by left-to-right square-and-multiply on ModMulSlow,
+/// which shares no code with the Montgomery kernels.
+U256 SlowExp(const U256& base, const U256& exp, const U256& n) {
+  U256 result = DivMod(U256(1), n).remainder;
+  const U256 b = DivMod(base, n).remainder;
+  for (size_t i = exp.BitLength(); i-- > 0;) {
+    result = ModMulSlow(result, result, n);
+    if (exp.Bit(i)) result = ModMulSlow(result, b, n);
+  }
+  return result;
 }
 
 std::vector<U256> TestModuli() {
@@ -116,6 +131,65 @@ TEST(FixedExponentTest, UnreducedBaseMatchesPreReduction) {
     EXPECT_EQ(windowed->ModExp(lifted), windowed->ModExp(reduced));
     EXPECT_EQ(ctx->ModExp(lifted, exp), ctx->ModExp(reduced, exp));
     EXPECT_EQ(windowed->ModExp(lifted), ctx->ModExp(reduced, exp));
+  }
+}
+
+TEST(FixedExponentTest, WireSizedBasesOnNarrowModuli) {
+  // A peer can send any 256-bit value. On a one- or two-limb modulus
+  // the kernel only reads the low limbs, so every entry point must
+  // reduce such a base first, never truncate it.
+  const U256 p128 =
+      U256::FromHex("ba7c68ab3eae6a8f5c13962c8874b533").value();
+  for (const U256& p : {SmallSafePrime(), p128}) {
+    Result<PrimeGroup> group = PrimeGroup::Create(p, /*check_primality=*/true);
+    ASSERT_TRUE(group.ok()) << p.ToHex();
+    Result<MontgomeryContext> ctx = MontgomeryContext::Create(p);
+    ASSERT_TRUE(ctx.ok());
+    ASSERT_LE(ctx->limbs(), 2u);
+    Rng rng(p.limb[0]);
+    const U256 key = group->RandomExponent(rng);
+    Result<FixedExponentContext> windowed =
+        FixedExponentContext::Create(*ctx, key);
+    ASSERT_TRUE(windowed.ok());
+    Result<CommutativeCipher> cipher =
+        CommutativeCipher::CreateWithKey(*group, key);
+    ASSERT_TRUE(cipher.ok());
+
+    std::vector<U256> bases = {U256(~0ULL, ~0ULL, ~0ULL, ~0ULL)};
+    for (int i = 0; i < 8; ++i) {
+      const U256 r = RandBelow(rng, p);
+      bases.push_back((U256(1) << 192) + r);
+      // r + k * p with k just below 2^(255 - bits(p)) (k ~ 2^190 on
+      // the 64-bit group): high limbs set, residue r, no wraparound.
+      const size_t k_bits = 255 - p.BitLength();
+      const U256 k = (U256::FromBytesBE(rng.RandomBytes(32)) >>
+                      (256 - k_bits)) |
+                     (U256(1) << (k_bits - 1));
+      const U256 lifted = r + k * p;
+      ASSERT_EQ(DivMod(lifted, p).remainder, r);
+      bases.push_back(lifted);
+    }
+    for (const U256& base : bases) {
+      const U256 want = SlowExp(base, key, p);
+      EXPECT_EQ(windowed->ModExp(base), want)
+          << "p " << p.ToHex() << " base " << base.ToHex();
+      EXPECT_EQ(ctx->ModExp(base, key), want)
+          << "p " << p.ToHex() << " base " << base.ToHex();
+      for (const U256& other : bases) {
+        EXPECT_EQ(ctx->ModMul(base, other), ModMulSlow(base, other, p))
+            << "p " << p.ToHex() << " a " << base.ToHex() << " b "
+            << other.ToHex();
+      }
+    }
+    for (int threads : {1, 4}) {
+      std::vector<U256> out(bases.size());
+      EncryptBatch(*cipher, bases, out, threads);
+      for (size_t i = 0; i < bases.size(); ++i) {
+        EXPECT_EQ(out[i], SlowExp(bases[i], key, p))
+            << "p " << p.ToHex() << " threads " << threads << " base "
+            << bases[i].ToHex();
+      }
+    }
   }
 }
 

@@ -1,19 +1,23 @@
-// Independent-oracle suite for the unrolled Montgomery kernel.
+// Independent-oracle suite for the width-matched Montgomery kernels.
 //
 // The fixed-exponent differential suite compares two ladders that both
 // run on `MontMul`/`MontSqr`, so a kernel bug shifts both sides alike.
 // Here every kernel output is checked against `ModMulSlow` (full 512-bit
 // product plus long division), which shares no code with the kernel:
 //
-//   MontMul(a, b) * R  == a * b       (mod n), result < n
+//   MontMul(a, b) * R  == a * b       (mod n), result < n,
+//                                     R = 2^(64 * limbs())
 //   MontSqr(a)         == MontMul(a, a)
 //   ToMont(a)          == a * R       (mod n)
 //   FromMont(a) * R    == a           (mod n)
 //   ModMul(a, b)       == a * b       (mod n), any 256-bit a, b
+//   Reduce(a)          == a mod n,             any 256-bit a
 //   ModExp / FixedExponentContext::ModExp == a ModMulSlow ladder
 //
-// over 64-, 128-, 192- and 256-bit odd moduli (so the top limbs of n
-// are zero in all but the widest), with operands {0, 1, n-1, random}.
+// over odd moduli on both sides of every limb boundary (3, 63, 64, 65,
+// 127, 128, 129, 191, 192, 193 and 256 bits), so each width-N kernel
+// (N = 1..4) runs at its narrowest and widest modulus, with operands
+// {0, 1, n-1, random}.
 
 #include <vector>
 
@@ -40,12 +44,15 @@ U256 RandomOddModulus(Rng& rng, size_t bits) {
 std::vector<U256> OracleModuli() {
   Rng rng(8439);
   std::vector<U256> moduli;
-  for (size_t bits : {size_t{64}, size_t{128}, size_t{192}, size_t{256}}) {
+  for (size_t bits : {size_t{3}, size_t{63}, size_t{64}, size_t{65},
+                      size_t{127}, size_t{128}, size_t{129}, size_t{191},
+                      size_t{192}, size_t{193}, size_t{256}}) {
     for (int i = 0; i < 3; ++i) moduli.push_back(RandomOddModulus(rng, bits));
     // Extremes of the width: all ones, and just the top and low bits.
     moduli.push_back((bits == 256 ? U256() : U256(1) << bits) - U256(1));
     moduli.push_back((U256(1) << (bits - 1)) | U256(1));
   }
+  // Bit 63 set: the one-limb kernel's carry-out case.
   moduli.push_back(SmallSafePrime());
   moduli.push_back(DefaultSafePrime());
   moduli.push_back(DefaultSubgroupOrder());
@@ -58,8 +65,10 @@ std::vector<U256> Operands(Rng& rng, const U256& n) {
   return ops;
 }
 
-/// R = 2^256 mod n.
-U256 RModN(const U256& n) { return (U512(1) << 256).Mod(n); }
+/// R = 2^(64 * limbs()) mod n, the context's Montgomery radix.
+U256 RModN(const MontgomeryContext& ctx) {
+  return (U512(1) << (64 * ctx.limbs())).Mod(ctx.modulus());
+}
 
 /// base^exp mod n by left-to-right square-and-multiply on ModMulSlow.
 U256 SlowExp(const U256& base, const U256& exp, const U256& n) {
@@ -72,12 +81,40 @@ U256 SlowExp(const U256& base, const U256& exp, const U256& n) {
   return result;
 }
 
+TEST(MontgomeryOracleTest, LimbsIsCeilOfBitLength) {
+  for (const U256& n : OracleModuli()) {
+    Result<MontgomeryContext> ctx = MontgomeryContext::Create(n);
+    ASSERT_TRUE(ctx.ok()) << n.ToHex();
+    EXPECT_EQ(ctx->limbs(), (n.BitLength() + 63) / 64) << n.ToHex();
+  }
+}
+
+TEST(MontgomeryOracleTest, ReduceMatchesDivModOnAnyOperand) {
+  Rng rng(5);
+  for (const U256& n : OracleModuli()) {
+    Result<MontgomeryContext> ctx = MontgomeryContext::Create(n);
+    ASSERT_TRUE(ctx.ok());
+    std::vector<U256> ops = Operands(rng, n);
+    ops.push_back(n);
+    ops.push_back(n + n + U256(1));
+    ops.push_back(U256(~0ULL, ~0ULL, ~0ULL, ~0ULL));
+    ops.push_back(U256(0, 0, 0, 1));  // 2^192
+    for (int i = 0; i < 6; ++i) {
+      ops.push_back(U256::FromBytesBE(rng.RandomBytes(32)));
+    }
+    for (const U256& a : ops) {
+      EXPECT_EQ(ctx->Reduce(a), DivMod(a, n).remainder)
+          << "n " << n.ToHex() << " a " << a.ToHex();
+    }
+  }
+}
+
 TEST(MontgomeryOracleTest, MontMulAndMontSqrMatchSlowProduct) {
   Rng rng(1);
   for (const U256& n : OracleModuli()) {
     Result<MontgomeryContext> ctx = MontgomeryContext::Create(n);
     ASSERT_TRUE(ctx.ok()) << n.ToHex();
-    const U256 r = RModN(n);
+    const U256 r = RModN(*ctx);
     const std::vector<U256> ops = Operands(rng, n);
     for (const U256& a : ops) {
       for (const U256& b : ops) {
@@ -99,7 +136,7 @@ TEST(MontgomeryOracleTest, DomainConversionsMatchSlowProduct) {
   for (const U256& n : OracleModuli()) {
     Result<MontgomeryContext> ctx = MontgomeryContext::Create(n);
     ASSERT_TRUE(ctx.ok());
-    const U256 r = RModN(n);
+    const U256 r = RModN(*ctx);
     for (const U256& a : Operands(rng, n)) {
       EXPECT_EQ(ctx->ToMont(a), ModMulSlow(a, r, n)) << n.ToHex();
       EXPECT_EQ(ModMulSlow(ctx->FromMont(a), r, n), a) << n.ToHex();
