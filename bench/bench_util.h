@@ -205,53 +205,18 @@ inline const char* GitDescribe() {
 /// the file with every record accumulated so far (so the artifact is a
 /// complete JSON-lines file after each call, and one bench invocation
 /// can emit several records — e.g. one per SIMD lane). `lane` is the
-/// kernel lane the measurement exercised. No-op when `--json` was not
+/// kernel lane the measurement exercised and `algo` the algorithm
+/// variant ("" for benches with one). No-op when `--json` was not
 /// passed. Aborts on an invalid record or unwritable path so CI smoke
 /// runs fail loudly instead of silently producing no artifact.
-inline void WriteJsonRecord(const char* bench, int threads,
-                            common::SimdLane lane, double cells_per_sec,
+inline void WriteJsonRecord(const char* bench, int threads, const char* lane,
+                            const char* algo, double cells_per_sec,
                             double wall_ms) {
   if (internal::JsonPathStorage().empty()) return;
   common::PerfRecord record;
   record.bench = bench;
   record.threads = threads;
-  record.lane = common::SimdLaneName(lane);
-  record.cells_per_sec = cells_per_sec;
-  record.wall_ms = wall_ms;
-  record.git_describe = GitDescribe();
-  auto fail = [](const Status& status) {
-    std::fprintf(stderr, "--json: %s\n", status.ToString().c_str());
-    std::exit(1);
-  };
-  if (Status s = record.Validate(); !s.ok()) fail(s);
-  internal::JsonLinesStorage() += common::PerfRecordToJson(record);
-  if (Status s = hsis::WriteFile(internal::JsonPathStorage(),
-                                 internal::JsonLinesStorage());
-      !s.ok()) {
-    fail(s);
-  }
-  std::printf("wrote perf record -> %s\n", internal::JsonPathStorage().c_str());
-}
-
-/// `WriteJsonRecord` stamped with the lane the dispatcher resolves for
-/// this call — the right default for benches that measure whatever
-/// lane the machine picked rather than forcing one.
-inline void WriteJsonRecord(const char* bench, int threads,
-                            double cells_per_sec, double wall_ms) {
-  WriteJsonRecord(bench, threads, ActiveLaneOrDie(), cells_per_sec, wall_ms);
-}
-
-/// `WriteJsonRecord` variant for benches that compare algorithm
-/// variants of one code path (e.g. bench_modexp's naive-vs-windowed
-/// ladders): stamps the record's optional `algo` field and the scalar
-/// lane (the modexp path has no SIMD lanes).
-inline void WriteJsonRecordAlgo(const char* bench, int threads,
-                                const char* algo, double cells_per_sec,
-                                double wall_ms) {
-  if (internal::JsonPathStorage().empty()) return;
-  common::PerfRecord record;
-  record.bench = bench;
-  record.threads = threads;
+  record.lane = lane;
   record.algo = algo;
   record.cells_per_sec = cells_per_sec;
   record.wall_ms = wall_ms;
@@ -268,6 +233,33 @@ inline void WriteJsonRecordAlgo(const char* bench, int threads,
     fail(s);
   }
   std::printf("wrote perf record -> %s\n", internal::JsonPathStorage().c_str());
+}
+
+/// `WriteJsonRecord` for a bench measuring one SIMD lane of a
+/// single-algorithm kernel.
+inline void WriteJsonRecord(const char* bench, int threads,
+                            common::SimdLane lane, double cells_per_sec,
+                            double wall_ms) {
+  WriteJsonRecord(bench, threads, common::SimdLaneName(lane), "",
+                  cells_per_sec, wall_ms);
+}
+
+/// `WriteJsonRecord` stamped with the lane the dispatcher resolves for
+/// this call — the right default for benches that measure whatever
+/// lane the machine picked rather than forcing one.
+inline void WriteJsonRecord(const char* bench, int threads,
+                            double cells_per_sec, double wall_ms) {
+  WriteJsonRecord(bench, threads, ActiveLaneOrDie(), cells_per_sec, wall_ms);
+}
+
+/// `WriteJsonRecord` variant for benches that compare algorithm
+/// variants of one code path (e.g. bench_sweep_service's status RPC vs
+/// lease drain): stamps the record's optional `algo` field and the
+/// scalar lane (the path has no SIMD lanes).
+inline void WriteJsonRecordAlgo(const char* bench, int threads,
+                                const char* algo, double cells_per_sec,
+                                double wall_ms) {
+  WriteJsonRecord(bench, threads, "scalar", algo, cells_per_sec, wall_ms);
 }
 
 /// Removes the hsis flags from argv so google-benchmark never sees

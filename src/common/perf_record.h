@@ -41,10 +41,12 @@ inline constexpr const char* kPerfRecordSchema = "hsis-bench-v1";
 struct PerfRecord {
   std::string bench;        ///< Bench identifier, e.g. "figure1_frequency_sweep".
   int threads = 1;          ///< Worker threads used for the measurement.
-  /// SIMD lane of the measured code path (common/simd_dispatch.h lane
-  /// name: "scalar", "sse2", "avx2"). Defaults to "scalar" — the only
-  /// lane that existed before records carried the field — so archived
-  /// pre-lane artifacts parse unchanged.
+  /// Kernel lane of the measured code path, free-form: a SIMD lane
+  /// (common/simd_dispatch.h name: "scalar", "sse2", "avx2") for the
+  /// sweep kernels, or the 4-limb Montgomery kernel ("portable", "adx";
+  /// crypto/montgomery_lanes.h) for bench_modexp's records. Defaults to
+  /// "scalar" — the only lane that existed before records carried the
+  /// field — so archived pre-lane artifacts parse unchanged.
   std::string lane = "scalar";
   /// Algorithm variant of the measured code path, e.g. "naive" vs
   /// "window4" for the modexp ladder comparison. Empty (the default)

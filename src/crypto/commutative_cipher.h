@@ -25,7 +25,7 @@ class CommutativeCipher {
                                                  const U256& key);
 
   /// Encrypts a group element: element^e mod p. Runs on the cached
-  /// fixed-window schedule for e (bit-identical to `group().Exp`).
+  /// sliding-window schedule for e (bit-identical to `group().Exp`).
   U256 Encrypt(const U256& element) const;
 
   /// Inverts `Encrypt`: element^{e^{-1} mod q} mod p, also windowed.

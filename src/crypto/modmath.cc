@@ -2,9 +2,15 @@
 
 #include <algorithm>
 #include <array>
-#include <type_traits>
+#include <cstddef>
 
 #include "common/logging.h"
+#include "crypto/montgomery_lanes.h"
+
+#if defined(__x86_64__) && defined(__GNUC__)
+#include <cpuid.h>
+#define HSIS_MONT_ADX 1
+#endif
 
 namespace hsis::crypto {
 
@@ -43,12 +49,17 @@ Result<MontgomeryContext> MontgomeryContext::Create(const U256& modulus) {
     return Status::InvalidArgument(
         "Montgomery context requires an odd modulus > 1");
   }
-  // n0inv = -n^{-1} mod 2^64 by Newton–Hensel lifting: each iteration
-  // doubles the number of correct low bits of the inverse.
-  uint64_t n0 = modulus.limb[0];
-  uint64_t inv = 1;
-  for (int i = 0; i < 6; ++i) inv *= 2 - n0 * inv;
-  uint64_t n0inv = ~inv + 1;  // negate mod 2^64
+  // -n^{-1} mod 2^128 by Newton–Hensel lifting: each iteration doubles
+  // the number of correct low bits of the inverse. Its low limb, n0inv,
+  // is every kernel's per-row constant; the high limb lets the ADX
+  // square derive two rows' multipliers at once.
+  const uint128 n01 =
+      (static_cast<uint128>(modulus.limb[1]) << 64) | modulus.limb[0];
+  uint128 inv = 1;
+  for (int i = 0; i < 7; ++i) inv *= 2 - n01 * inv;
+  const uint128 neg_inv = 0 - inv;
+  const uint64_t n0inv = static_cast<uint64_t>(neg_inv);
+  const uint64_t n1inv = static_cast<uint64_t>(neg_inv >> 64);
 
   // R = 2^(64 * limbs) is not representable when limbs == 4, so reduce
   // it in 512 bits, then square R mod n with the generic divider.
@@ -57,7 +68,7 @@ Result<MontgomeryContext> MontgomeryContext::Create(const U256& modulus) {
   U256 r2 = U256::MulFull(r_mod_n, r_mod_n).Mod(modulus);
   U256 r256 = (U512(1) << 256).Mod(modulus);
 
-  return MontgomeryContext(modulus, limbs, n0inv, r2, r256);
+  return MontgomeryContext(modulus, n0inv, n1inv, limbs, r2, r256);
 }
 
 namespace {
@@ -94,6 +105,251 @@ inline Limbs<N> SubtractModulusOnce(const uint64_t* t, const U256& n) {
   return d;
 }
 
+#ifdef HSIS_MONT_ADX
+
+// The 4-limb products on BMI2 + ADX (the ADX lane). `mulx` multiplies
+// by rdx without touching the flags, so each row runs two independent
+// carry chains: `adcx` (CF) adds the high halves and `adox` (OF) the
+// low halves. GCC emits neither instruction from `unsigned __int128`
+// code, even with target("bmi2,adx"), hence the asm. Operands are only
+// read and results leave in registers, so the operands may alias the
+// caller's result. The asm holds at most 13 general-purpose registers
+// (rdx included), which leaves one spare beside rsp and a frame
+// pointer, so it allocates at -O0 and under the sanitizers too.
+//
+// An asm operand name, spliced into the templates below: HSIS_R(t0)
+// is "%[t0]".
+#define HSIS_R(x) "%[" #x "]"
+
+// rdx = T0 * n0inv mod 2^64, the multiplier m of the reduction row
+// that zeroes T0. n0inv and n1inv sit at byte offsets 32 and 40 from
+// the modulus (the head of `MontgomeryContext`).
+#define HSIS_ADX_ROW_M(T0)        \
+  "movq " HSIS_R(T0) ", %%rdx\n\t" \
+  "imulq 32(%[n]), %%rdx\n\t"
+
+// The multipliers of two reduction rows at once: rdx = m0 and M = m1,
+// where m1:m0 = T1:T0 * -n^-1 mod 2^128. Row T0 then need not finish
+// before row T1's multiplier is known, which halves the serial
+// multiply chain of the reduction.
+#define HSIS_ADX_PAIR_M(T0, T1, M)      \
+  "movq " HSIS_R(T0) ", %%rdx\n\t"      \
+  "mulxq 32(%[n]), %[lo], " M "\n\t"    \
+  "imulq 40(%[n]), %%rdx\n\t"           \
+  "addq %%rdx, " M "\n\t"               \
+  "movq " HSIS_R(T1) ", %%rdx\n\t"      \
+  "imulq 32(%[n]), %%rdx\n\t"           \
+  "addq %%rdx, " M "\n\t"               \
+  "movq %[lo], %%rdx\n\t"
+
+// T0..T4 += rdx * n, with rdx the row's multiplier m. T0 ends zero and
+// the carry out of T4 is left in CF. The row's carry into T4 is below
+// 2^64, so folding OF into the top product's high half cannot overflow.
+#define HSIS_ADX_REDUCE_ROW(T0, T1, T2, T3, T4)          \
+  "xorl %k[lo], %k[lo]\n\t"                              \
+  "mulxq (%[n]), %[lo], %[hi]\n\t"                       \
+  "adoxq %[lo], " HSIS_R(T0) "\n\t"                      \
+  "adcxq %[hi], " HSIS_R(T1) "\n\t"                      \
+  "mulxq 8(%[n]), %[lo], %[hi]\n\t"                      \
+  "adoxq %[lo], " HSIS_R(T1) "\n\t"                      \
+  "adcxq %[hi], " HSIS_R(T2) "\n\t"                      \
+  "mulxq 16(%[n]), %[lo], %[hi]\n\t"                     \
+  "adoxq %[lo], " HSIS_R(T2) "\n\t"                      \
+  "adcxq %[hi], " HSIS_R(T3) "\n\t"                      \
+  "mulxq 24(%[n]), %[lo], %[hi]\n\t"                     \
+  "adoxq %[lo], " HSIS_R(T3) "\n\t"                      \
+  "adoxq " HSIS_R(T0) ", %[hi]\n\t"                      \
+  "adcxq %[hi], " HSIS_R(T4) "\n\t"
+
+// T0..T5 += a[i] * b with a[i] at byte offset OFF. T5 enters as the
+// previous row's zeroed limb and leaves holding the carry.
+#define HSIS_ADX_PRODUCT_ROW(OFF, T0, T1, T2, T3, T4, T5) \
+  "movq " #OFF "(%[a]), %%rdx\n\t"                        \
+  "xorl %k[" #T5 "], %k[" #T5 "]\n\t"                      \
+  "mulxq (%[b]), %[lo], %[hi]\n\t"                        \
+  "adoxq %[lo], " HSIS_R(T0) "\n\t"                       \
+  "adcxq %[hi], " HSIS_R(T1) "\n\t"                       \
+  "mulxq 8(%[b]), %[lo], %[hi]\n\t"                       \
+  "adoxq %[lo], " HSIS_R(T1) "\n\t"                       \
+  "adcxq %[hi], " HSIS_R(T2) "\n\t"                       \
+  "mulxq 16(%[b]), %[lo], %[hi]\n\t"                      \
+  "adoxq %[lo], " HSIS_R(T2) "\n\t"                       \
+  "adcxq %[hi], " HSIS_R(T3) "\n\t"                       \
+  "mulxq 24(%[b]), %[lo], %[hi]\n\t"                      \
+  "adoxq %[lo], " HSIS_R(T3) "\n\t"                       \
+  "adoxq " HSIS_R(T5) ", %[hi]\n\t"                       \
+  "adcxq %[hi], " HSIS_R(T4) "\n\t"                       \
+  "adcxq " HSIS_R(T5) ", " HSIS_R(T5) "\n\t"
+
+// The final conditional subtraction: t = T4:T3:T2:T1:T0 < 2n, and
+// lo, hi, rdx, S receive t - n when t >= n, else t. T4 is the fifth
+// limb: n can be >= 2^255, so t can reach past 2^256.
+#define HSIS_ADX_SUBTRACT_ONCE(T0, T1, T2, T3, T4, S) \
+  "movq " HSIS_R(T0) ", %[lo]\n\t"                    \
+  "subq (%[n]), %[lo]\n\t"                            \
+  "movq " HSIS_R(T1) ", %[hi]\n\t"                    \
+  "sbbq 8(%[n]), %[hi]\n\t"                           \
+  "movq " HSIS_R(T2) ", %%rdx\n\t"                    \
+  "sbbq 16(%[n]), %%rdx\n\t"                          \
+  "movq " HSIS_R(T3) ", " HSIS_R(S) "\n\t"            \
+  "sbbq 24(%[n]), " HSIS_R(S) "\n\t"                  \
+  "sbbq $0, " HSIS_R(T4) "\n\t"                       \
+  "cmovcq " HSIS_R(T0) ", %[lo]\n\t"                  \
+  "cmovcq " HSIS_R(T1) ", %[hi]\n\t"                  \
+  "cmovcq " HSIS_R(T2) ", %%rdx\n\t"                  \
+  "cmovcq " HSIS_R(T3) ", " HSIS_R(S) "\n\t"
+
+/// CIOS a * b * 2^-256 mod n, the same integer as `Cios<4>`: row i adds
+/// a[i] * b, then m * n, into six rotating registers t0..t5, and the
+/// limb zeroed by the reduction becomes the next row's carry limb.
+[[gnu::always_inline]] inline Limbs<4> MulAdx(const Limbs<4>& a,
+                                              const Limbs<4>& b,
+                                              const U256& n) {
+  uint64_t t0, t1, t2, t3, t4, t5, lo, hi, d = a[0];
+  asm(
+      // Row 0 on an empty accumulator: t0..t4 = a[0] * b, t5 = 0.
+      "xorl %k[t5], %k[t5]\n\t"
+      "mulxq (%[b]), %[t0], %[t1]\n\t"
+      "mulxq 8(%[b]), %[lo], %[t2]\n\t"
+      "adcxq %[lo], %[t1]\n\t"
+      "mulxq 16(%[b]), %[lo], %[t3]\n\t"
+      "adcxq %[lo], %[t2]\n\t"
+      "mulxq 24(%[b]), %[lo], %[t4]\n\t"
+      "adcxq %[lo], %[t3]\n\t"
+      "adcxq %[t5], %[t4]\n\t"
+      HSIS_ADX_ROW_M(t0)
+      HSIS_ADX_REDUCE_ROW(t0, t1, t2, t3, t4)
+      "adcxq %[t0], %[t5]\n\t"
+      HSIS_ADX_PRODUCT_ROW(8, t1, t2, t3, t4, t5, t0)
+      HSIS_ADX_ROW_M(t1)
+      HSIS_ADX_REDUCE_ROW(t1, t2, t3, t4, t5)
+      "adcxq %[t1], %[t0]\n\t"
+      HSIS_ADX_PRODUCT_ROW(16, t2, t3, t4, t5, t0, t1)
+      HSIS_ADX_ROW_M(t2)
+      HSIS_ADX_REDUCE_ROW(t2, t3, t4, t5, t0)
+      "adcxq %[t2], %[t1]\n\t"
+      HSIS_ADX_PRODUCT_ROW(24, t3, t4, t5, t0, t1, t2)
+      HSIS_ADX_ROW_M(t3)
+      HSIS_ADX_REDUCE_ROW(t3, t4, t5, t0, t1)
+      "adcxq %[t3], %[t2]\n\t"
+      HSIS_ADX_SUBTRACT_ONCE(t4, t5, t0, t1, t2, t3)
+      : [t0] "=&r"(t0), [t1] "=&r"(t1), [t2] "=&r"(t2), [t3] "=&r"(t3),
+        [t4] "=&r"(t4), [t5] "=&r"(t5), [lo] "=&r"(lo), [hi] "=&r"(hi),
+        "+d"(d)
+      : [a] "r"(a.data()), [b] "r"(b.data()), [n] "r"(n.limb.data())
+      : "cc", "memory");
+  return {lo, hi, d, t3};
+}
+
+/// SOS a^2 * 2^-256 mod n, the same integer as the portable `Sqr`: the
+/// six cross products a[i] * a[j] (i < j), doubled, plus the four
+/// diagonal squares into x0..x7, then four reduction rows whose
+/// multipliers come in pairs (`HSIS_ADX_PAIR_M`). Row i's carry out of
+/// x[i + 4] spills into the limb it zeroed, which row i + 1 adds at
+/// x[i + 5]; the last spill is the fifth limb. The `a` register holds
+/// the address of a until the reduction, then the odd rows' multiplier.
+[[gnu::always_inline]] inline Limbs<4> SqrAdx(const Limbs<4>& a,
+                                              const U256& n) {
+  uint64_t x0, x1, x2, x3, x4, x5, x6, x7, lo, hi, d = a[0];
+  const uint64_t* ap = a.data();
+  asm(
+      // a[0]^2 first, from rdx = a[0]: x0 and, until the doubling, x7.
+      "mulxq %%rdx, %[x0], %[x7]\n\t"
+      // Cross products into x1..x6 on one add/adc chain.
+      "mulxq 8(%[a]), %[x1], %[x2]\n\t"
+      "mulxq 16(%[a]), %[lo], %[x3]\n\t"
+      "addq %[lo], %[x2]\n\t"
+      "mulxq 24(%[a]), %[lo], %[x4]\n\t"
+      "adcq %[lo], %[x3]\n\t"
+      "adcq $0, %[x4]\n\t"
+      "movq 8(%[a]), %%rdx\n\t"
+      "mulxq 16(%[a]), %[lo], %[hi]\n\t"
+      "addq %[lo], %[x3]\n\t"
+      "adcq %[hi], %[x4]\n\t"
+      "mulxq 24(%[a]), %[lo], %[x5]\n\t"
+      "adcq $0, %[x5]\n\t"
+      "addq %[lo], %[x4]\n\t"
+      "adcq $0, %[x5]\n\t"
+      "movq 16(%[a]), %%rdx\n\t"
+      "mulxq 24(%[a]), %[lo], %[x6]\n\t"
+      "addq %[lo], %[x5]\n\t"
+      "adcq $0, %[x6]\n\t"
+      // Double the cross products on CF while adding the diagonal
+      // squares on OF; x7 ends as the doubling's top bit plus the high
+      // half of a[3]^2.
+      "xorl %k[lo], %k[lo]\n\t"
+      "adcxq %[x1], %[x1]\n\t"
+      "adoxq %[x7], %[x1]\n\t"
+      "movq 8(%[a]), %%rdx\n\t"
+      "mulxq %%rdx, %[lo], %[hi]\n\t"
+      "adcxq %[x2], %[x2]\n\t"
+      "adoxq %[lo], %[x2]\n\t"
+      "adcxq %[x3], %[x3]\n\t"
+      "adoxq %[hi], %[x3]\n\t"
+      "movq 16(%[a]), %%rdx\n\t"
+      "mulxq %%rdx, %[lo], %[hi]\n\t"
+      "adcxq %[x4], %[x4]\n\t"
+      "adoxq %[lo], %[x4]\n\t"
+      "adcxq %[x5], %[x5]\n\t"
+      "adoxq %[hi], %[x5]\n\t"
+      "movq 24(%[a]), %%rdx\n\t"
+      "mulxq %%rdx, %[lo], %[hi]\n\t"
+      "adcxq %[x6], %[x6]\n\t"
+      "adoxq %[lo], %[x6]\n\t"
+      "movl $0, %k[x7]\n\t"
+      "adcxq %[x7], %[x7]\n\t"
+      "adoxq %[hi], %[x7]\n\t"
+      // Reduction rows; after its first add, row i's x[i] is zero.
+      HSIS_ADX_PAIR_M(x0, x1, "%[a]")
+      HSIS_ADX_REDUCE_ROW(x0, x1, x2, x3, x4)
+      "adcxq %[x0], %[x0]\n\t"
+      "movq %[a], %%rdx\n\t"
+      HSIS_ADX_REDUCE_ROW(x1, x2, x3, x4, x5)
+      "adoxq %[x0], %[x5]\n\t"
+      "movl $0, %k[x0]\n\t"
+      "adcxq %[x0], %[x1]\n\t"
+      "adoxq %[x0], %[x1]\n\t"
+      HSIS_ADX_PAIR_M(x2, x3, "%[a]")
+      HSIS_ADX_REDUCE_ROW(x2, x3, x4, x5, x6)
+      "adoxq %[x1], %[x6]\n\t"
+      "movl $0, %k[x1]\n\t"
+      "adcxq %[x1], %[x2]\n\t"
+      "adoxq %[x1], %[x2]\n\t"
+      "movq %[a], %%rdx\n\t"
+      HSIS_ADX_REDUCE_ROW(x3, x4, x5, x6, x7)
+      "adoxq %[x2], %[x7]\n\t"
+      "movl $0, %k[x2]\n\t"
+      "adcxq %[x2], %[x3]\n\t"
+      "adoxq %[x2], %[x3]\n\t"
+      HSIS_ADX_SUBTRACT_ONCE(x4, x5, x6, x7, x3, x0)
+      : [x0] "=&r"(x0), [x1] "=&r"(x1), [x2] "=&r"(x2), [x3] "=&r"(x3),
+        [x4] "=&r"(x4), [x5] "=&r"(x5), [x6] "=&r"(x6), [x7] "=&r"(x7),
+        [lo] "=&r"(lo), [hi] "=&r"(hi), "+d"(d), [a] "+r"(ap)
+      : [n] "r"(n.limb.data())
+      : "cc", "memory");
+  return {lo, hi, d, x0};
+}
+
+#undef HSIS_ADX_SUBTRACT_ONCE
+#undef HSIS_ADX_PRODUCT_ROW
+#undef HSIS_ADX_REDUCE_ROW
+#undef HSIS_ADX_PAIR_M
+#undef HSIS_ADX_ROW_M
+#undef HSIS_R
+
+/// Whether 4-limb products run on the ADX lane: CPUID leaf 7's BMI2
+/// and ADX bits, read once per process.
+bool AdxLaneSupported() {
+  static const bool supported = [] {
+    unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+    return __get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx) &&
+           (ebx & bit_BMI2) != 0 && (ebx & bit_ADX) != 0;
+  }();
+  return supported;
+}
+
+#endif  // HSIS_MONT_ADX
+
 }  // namespace
 
 /// The Montgomery kernels at a fixed width of N limbs (R = 2^(64N)),
@@ -101,10 +357,17 @@ inline Limbs<N> SubtractModulusOnce(const uint64_t* t, const U256& n) {
 /// loop runs a compile-time N times and `#pragma GCC unroll` flattens
 /// it completely, so the t[] accumulator lives in registers: without it
 /// GCC at -O2 keeps the loops rolled and every limb product goes
-/// through memory. N = 4 is the full 256-bit kernel.
-template <size_t N>
+/// through memory. N = 4 is the full 256-bit kernel; with `kAdx` its
+/// `Mul` and `Sqr` run the BMI2 + ADX asm above (same integers), and
+/// everything else is shared.
+template <size_t N, bool kAdx = false>
 class MontKernel {
  public:
+  static_assert(!kAdx || N == 4, "the ADX lane is the 4-limb kernel");
+  // The ADX asm reads n0inv_ and n1inv_ at fixed offsets from n_.
+  static_assert(offsetof(MontgomeryContext, n_) == 0 &&
+                offsetof(MontgomeryContext, n0inv_) == 32 &&
+                offsetof(MontgomeryContext, n1inv_) == 40);
   using Value = Limbs<N>;
 
   explicit MontKernel(const MontgomeryContext& ctx) : ctx_(ctx) {}
@@ -155,11 +418,18 @@ class MontKernel {
     return SubtractModulusOnce<N>(t, n);
   }
 
-  Limbs<N> Mul(const Limbs<N>& a, const Limbs<N>& b) const {
+  [[gnu::always_inline]] Limbs<N> Mul(const Limbs<N>& a,
+                                       const Limbs<N>& b) const {
+#ifdef HSIS_MONT_ADX
+    if constexpr (kAdx) return MulAdx(a, b, ctx_.n_);
+#endif
     return Cios<N>(a.data(), b);
   }
 
-  Limbs<N> Sqr(const Limbs<N>& a) const {
+  [[gnu::always_inline]] Limbs<N> Sqr(const Limbs<N>& a) const {
+#ifdef HSIS_MONT_ADX
+    if constexpr (kAdx) return SqrAdx(a, ctx_.n_);
+#endif
     const U256& n = ctx_.n_;
     const uint64_t n0inv = ctx_.n0inv_;
     // Symmetric schoolbook square into 2N limbs: the cross products are
@@ -229,9 +499,13 @@ class MontKernel {
   }
 
   /// a mod n for any 256-bit a: CIOS over all four limbs against
-  /// 2^256 mod n gives a * 2^256 * 2^-256.
+  /// 2^256 mod n gives a * 2^256 * 2^-256. At four limbs that is `Mul`.
   Limbs<N> Reduce(const U256& a) const {
-    return Cios<4>(a.limb.data(), Narrow(ctx_.r256_));
+    if constexpr (N == 4) {
+      return Mul(a.limb, Narrow(ctx_.r256_));
+    } else {
+      return Cios<4>(a.limb.data(), Narrow(ctx_.r256_));
+    }
   }
 
   /// `a` as an N-limb operand below R: reduced first only when it has
@@ -288,11 +562,75 @@ U256 AtWidth(const MontgomeryContext& ctx, const Body& body) {
     case 3:
       return body(MontKernel<3>(ctx));
     default:
+#ifdef HSIS_MONT_ADX
+      if (AdxLaneSupported()) return body(MontKernel<4, true>(ctx));
+#endif
       return body(MontKernel<4>(ctx));
   }
 }
 
+/// `MontgomeryContext::ModExp`'s right-to-left square-and-multiply
+/// ladder on kernel `k`.
+template <typename Kernel>
+U256 PlainLadder(const Kernel& k, const U256& base, const U256& exp) {
+  // Pre-reduce like ModInversePrime so base >= n and base mod n agree.
+  const auto b = k.Reduced(base);
+  size_t bits = exp.BitLength();
+  if (bits == 0) return U256(1);  // x^0 == 1, including 0^0 by convention
+  if (bits == 1) return Widen(b);  // exp == 1
+  auto result = k.ToMont(k.One());
+  auto acc = k.ToMont(b);
+  for (size_t i = 0; i < bits; ++i) {
+    if (exp.Bit(i)) result = k.Mul(result, acc);
+    acc = k.Mul(acc, acc);
+  }
+  return Widen(k.FromMont(result));
+}
+
 }  // namespace
+
+/// `FixedExponentContext::ModExp`'s window walk, one template over the
+/// kernel type; a friend of the context, so the 4-limb lane table can
+/// instantiate it on each kernel.
+class FixedExponentLadder {
+ public:
+  template <typename Kernel>
+  static U256 Run(const FixedExponentContext& fx, const Kernel& k,
+                  const U256& base) {
+    using Value = typename Kernel::Value;
+    // Same pre-reduction and exp==0/1 short-circuits as the naive ladder.
+    const Value b = k.Reduced(base);
+    if (fx.top_digit_ == 0) return U256(1);
+    if (fx.top_digit_ == 1 && fx.steps_.empty()) return Widen(b);
+
+    // Odd powers in the Montgomery domain: table[i] = b^(2i + 1), built
+    // only up to the largest digit the schedule uses.
+    Value table[size_t{1} << (FixedExponentContext::kMaxWindowBits - 1)];
+    table[0] = k.ToMont(b);
+    if (fx.table_size_ > 1) {
+      const Value b2 = k.Sqr(table[0]);
+      for (size_t i = 1; i < fx.table_size_; ++i) {
+        table[i] = k.Mul(table[i - 1], b2);
+      }
+    }
+
+    // Left-to-right walk: the leading digit seeds the accumulator, every
+    // later window costs its squarings plus one table product (the
+    // trailing zero run, digit 0, only squarings).
+    Value acc = table[fx.top_digit_ >> 1];
+    for (const FixedExponentContext::Step& step : fx.steps_) {
+      for (unsigned s = 0; s < step.squarings; ++s) acc = k.Sqr(acc);
+      if (step.digit != 0) acc = k.Mul(acc, table[step.digit >> 1]);
+    }
+    return Widen(k.FromMont(acc));
+  }
+
+  /// `Run` on a kernel of type `Kernel` over the context's modulus.
+  template <typename Kernel>
+  static U256 RunOn(const FixedExponentContext& fx, const U256& base) {
+    return Run(fx, Kernel(fx.ctx_), base);
+  }
+};
 
 U256 MontgomeryContext::Reduce(const U256& a) const {
   return AtWidth(*this, [&](const auto& k) { return Widen(k.Reduce(a)); });
@@ -332,20 +670,8 @@ U256 MontgomeryContext::ModMul(const U256& a, const U256& b) const {
 }
 
 U256 MontgomeryContext::ModExp(const U256& base, const U256& exp) const {
-  return AtWidth(*this, [&](const auto& k) {
-    // Pre-reduce like ModInversePrime so base >= n and base mod n agree.
-    const auto b = k.Reduced(base);
-    size_t bits = exp.BitLength();
-    if (bits == 0) return U256(1);  // x^0 == 1, including 0^0 by convention
-    if (bits == 1) return Widen(b);  // exp == 1
-    auto result = k.ToMont(k.One());
-    auto acc = k.ToMont(b);
-    for (size_t i = 0; i < bits; ++i) {
-      if (exp.Bit(i)) result = k.Mul(result, acc);
-      acc = k.Mul(acc, acc);
-    }
-    return Widen(k.FromMont(result));
-  });
+  return AtWidth(*this,
+                 [&](const auto& k) { return PlainLadder(k, base, exp); });
 }
 
 Result<U256> MontgomeryContext::ModInversePrime(const U256& a) const {
@@ -386,54 +712,83 @@ FixedExponentContext::FixedExponentContext(const MontgomeryContext& ctx,
       exp_(exponent),
       window_bits_(window_bits),
       table_size_(1),
-      mont_one_(ctx.ToMont(U256(1))) {
-  // Slice the exponent into w-bit digits from the most significant bit
-  // down; the top digit absorbs the ragged remainder, so every later
-  // window is exactly w squarings. An exponent of 0 yields an empty
-  // schedule.
-  const size_t bits = exp_.BitLength();
+      top_digit_(0) {
+  // Scan from the most significant bit down. A set bit at i opens a
+  // window that ends at the lowest set bit j >= i - w + 1, so the digit
+  // (bits i..j) is odd; zero bits between windows only add squarings.
+  // An exponent of 0 leaves top_digit_ 0 and no steps.
   const size_t w = static_cast<size_t>(window_bits_);
-  const size_t windows = (bits + w - 1) / w;
-  digits_.reserve(windows);
-  for (size_t i = 0; i < windows; ++i) {
-    const size_t lo = (windows - 1 - i) * w;
-    const size_t hi = std::min(lo + w, bits);
+  size_t zeros = 0;  // squarings owed since the last window
+  for (size_t i = exp_.BitLength(); i > 0;) {
+    if (!exp_.Bit(i - 1)) {
+      ++zeros;
+      --i;
+      continue;
+    }
+    size_t j = i > w ? i - w : 0;
+    while (!exp_.Bit(j)) ++j;
     uint8_t digit = 0;
-    for (size_t b = hi; b-- > lo;) {
+    for (size_t b = i; b-- > j;) {
       digit = static_cast<uint8_t>((digit << 1) | (exp_.Bit(b) ? 1 : 0));
     }
-    digits_.push_back(digit);
-    table_size_ = std::max(table_size_, static_cast<size_t>(digit) + 1);
+    if (top_digit_ == 0) {
+      top_digit_ = digit;
+    } else {
+      steps_.push_back({static_cast<uint16_t>(zeros + (i - j)), digit});
+    }
+    table_size_ = std::max(table_size_, static_cast<size_t>(digit / 2 + 1));
+    zeros = 0;
+    i = j;
   }
+  if (zeros > 0) steps_.push_back({static_cast<uint16_t>(zeros), 0});
 }
 
 U256 FixedExponentContext::ModExp(const U256& base) const {
   return AtWidth(ctx_, [&](const auto& k) {
-    using Value = typename std::decay_t<decltype(k)>::Value;
-    // Same pre-reduction and exp==0/1 short-circuits as the naive ladder.
-    const Value b = k.Reduced(base);
-    if (digits_.empty()) return U256(1);
-    if (digits_.size() == 1 && digits_[0] == 1) return Widen(b);
-
-    // Power table in the Montgomery domain, built only up to the largest
-    // digit the schedule actually uses (<= 2^w entries).
-    Value table[size_t{1} << kMaxWindowBits];
-    table[0] = k.Narrow(mont_one_);
-    if (table_size_ > 1) table[1] = k.ToMont(b);
-    for (size_t i = 2; i < table_size_; ++i) {
-      table[i] = k.Mul(table[i - 1], table[1]);
-    }
-
-    // Left-to-right walk: the leading digit seeds the accumulator, every
-    // later window costs w Montgomery squarings plus one table product
-    // when its digit is nonzero.
-    Value acc = table[digits_[0]];
-    for (size_t i = 1; i < digits_.size(); ++i) {
-      for (int s = 0; s < window_bits_; ++s) acc = k.Sqr(acc);
-      if (digits_[i] != 0) acc = k.Mul(acc, table[digits_[i]]);
-    }
-    return Widen(k.FromMont(acc));
+    return FixedExponentLadder::Run(*this, k, base);
   });
 }
+
+namespace internal {
+namespace {
+
+template <typename Kernel>
+constexpr MontLane4 MakeLane(const char* name) {
+  return {
+      name,
+      [](const MontgomeryContext& ctx, const U256& a, const U256& b,
+         U256* out) { out->limb = Kernel(ctx).Mul(a.limb, b.limb); },
+      [](const MontgomeryContext& ctx, const U256& a, U256* out) {
+        out->limb = Kernel(ctx).Sqr(a.limb);
+      },
+      [](const MontgomeryContext& ctx, const U256& base, const U256& exp) {
+        return PlainLadder(Kernel(ctx), base, exp);
+      },
+      &FixedExponentLadder::RunOn<Kernel>,
+  };
+}
+
+constexpr MontLane4 kPortableLane = MakeLane<MontKernel<4>>("portable");
+#ifdef HSIS_MONT_ADX
+constexpr MontLane4 kAdxLane = MakeLane<MontKernel<4, true>>("adx");
+#endif
+
+}  // namespace
+
+const MontLane4& PortableLane4() { return kPortableLane; }
+
+const MontLane4* AdxLane4() {
+#ifdef HSIS_MONT_ADX
+  if (AdxLaneSupported()) return &kAdxLane;
+#endif
+  return nullptr;
+}
+
+const MontLane4& ActiveLane4() {
+  const MontLane4* adx = AdxLane4();
+  return adx != nullptr ? *adx : kPortableLane;
+}
+
+}  // namespace internal
 
 }  // namespace hsis::crypto

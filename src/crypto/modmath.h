@@ -28,10 +28,16 @@ U256 Gcd(const U256& a, const U256& b);
 ///
 /// The kernels run at the modulus's width: `limbs()` = ceil(bits / 64)
 /// 64-bit limbs (1..4) and R = 2^(64 * limbs()), so a `MontMul` modulo
-/// a 64-bit modulus costs 2 limb products instead of 32. Every
-/// plain-domain entry point (`Reduce`, `ModMul`, `ModExp`,
-/// `ModInversePrime`) picks the width once per call; results are the
-/// same integers mod n at every width.
+/// a 64-bit modulus costs 2 limb products instead of 32. Every entry
+/// point picks the width once per call; results are the same integers
+/// mod n at every width.
+///
+/// At four limbs (a 193- to 256-bit modulus) there are two kernels with
+/// the same results: the portable C++ one and, on x86-64 CPUs whose
+/// CPUID reports BMI2 and ADX, an inline-asm one built on `mulx` with
+/// `adcx`/`adox` carry chains, about 1.5x faster per modexp. The CPU
+/// picks it once per process; there is no option. Both are exposed for
+/// tests and benches in crypto/montgomery_lanes.h.
 class MontgomeryContext {
  public:
   /// Builds a context; fails unless `modulus` is odd and > 1.
@@ -61,7 +67,9 @@ class MontgomeryContext {
   /// `MontMul(a, a)` — same integer, same reduction — but computes the
   /// double-width square with the symmetric schoolbook (10 limb
   /// products instead of 16 at four limbs) before a separate Montgomery
-  /// reduction pass.
+  /// reduction pass. The ADX kernel derives the reduction's row
+  /// multipliers two at a time from -n^-1 mod 2^128, so its squaring
+  /// chain is shorter than its `MontMul`'s.
   U256 MontSqr(const U256& a) const;
 
   /// (a * b) mod n for any 256-bit a and b.
@@ -80,40 +88,53 @@ class MontgomeryContext {
   Result<U256> ModInversePrime(const U256& a) const;
 
  private:
-  template <size_t N>
+  template <size_t N, bool kAdx>
   friend class MontKernel;  // the width-N kernels in modmath.cc
 
-  MontgomeryContext(const U256& n, size_t limbs, uint64_t n0inv,
-                    const U256& r2, const U256& r256)
-      : n_(n), limbs_(limbs), n0inv_(n0inv), r2_(r2), r256_(r256) {}
+  MontgomeryContext(const U256& n, uint64_t n0inv, uint64_t n1inv,
+                    size_t limbs, const U256& r2, const U256& r256)
+      : n_(n),
+        n0inv_(n0inv),
+        n1inv_(n1inv),
+        limbs_(limbs),
+        r2_(r2),
+        r256_(r256) {}
 
+  // n_, n0inv_ and n1inv_ lead, in this order: the ADX kernels address
+  // the two inverse limbs at byte offsets 32 and 40 from the modulus.
   U256 n_;          // modulus
-  size_t limbs_;    // active limbs of n; R = 2^(64 * limbs_)
   uint64_t n0inv_;  // -n^{-1} mod 2^64
+  uint64_t n1inv_;  // bits 64..127 of -n^{-1} mod 2^128
+  size_t limbs_;    // active limbs of n; R = 2^(64 * limbs_)
   U256 r2_;         // R^2 mod n
   U256 r256_;       // 2^256 mod n, `Reduce`'s CIOS multiplier
 };
 
-/// Fixed-window modular exponentiation for one fixed exponent.
+/// Sliding-window modular exponentiation for one fixed exponent.
 ///
 /// The commutative cipher raises millions of bases to the *same* secret
 /// exponent, so everything that depends only on the exponent — the
-/// left-to-right window digit schedule — is computed once here and
-/// replayed for every base. Each `ModExp` call builds a 2^w-entry table
-/// of base powers in the Montgomery domain, then walks the schedule with
-/// w Montgomery squarings per window and one table multiplication per
-/// nonzero digit. Exactly one `ToMont` and one `FromMont` happen per
-/// call; everything in between stays in the Montgomery domain.
+/// left-to-right window schedule — is computed once here and replayed
+/// for every base. A window starts at a set bit and ends at the lowest
+/// set bit within w bits, so its digit is odd and a run of zero bits
+/// between windows costs squarings only. Each `ModExp` call builds the
+/// odd powers base^1, base^3, ..., up to the largest digit the schedule
+/// uses (at most 2^(w-1) entries) in the Montgomery domain, then walks
+/// the schedule: one Montgomery squaring per exponent bit below the
+/// leading window and one table multiplication per window. Exactly one
+/// `ToMont` and one `FromMont` happen per call; everything in between
+/// stays in the Montgomery domain.
 ///
 /// Results are bit-identical to `MontgomeryContext::ModExp(base, e)` for
 /// every (base, exponent, modulus): both paths compute the same exact
 /// integer base^e mod n, and both pre-reduce a base >= n. Both run on
-/// the context's width-matched kernel, so the suites in
-/// tests/crypto/fixed_exponent_test.cc and montgomery_oracle_test.cc
-/// pin them against a `ModMulSlow` ladder that shares no kernel code.
+/// the context's width-matched kernel (the ADX one where the CPU has
+/// it), so the suites in tests/crypto/fixed_exponent_test.cc,
+/// montgomery_oracle_test.cc and montgomery_lanes_test.cc pin them
+/// against a `ModMulSlow` ladder that shares no kernel code.
 class FixedExponentContext {
  public:
-  /// Largest accepted window width. w=6 already needs a 64-entry table
+  /// Largest accepted window width. w=6 already needs a 32-entry table
   /// per call; wider windows only pay off for exponents far beyond 256
   /// bits.
   static constexpr int kMaxWindowBits = 6;
@@ -136,15 +157,25 @@ class FixedExponentContext {
   int window_bits() const { return window_bits_; }
 
  private:
+  friend class FixedExponentLadder;  // the window walk in modmath.cc
+
   FixedExponentContext(const MontgomeryContext& ctx, const U256& exponent,
                        int window_bits);
+
+  /// One window after the leading one: `squarings` Montgomery
+  /// squarings (the window's bits plus the zero run above it), then a
+  /// multiplication by base^digit; digit 0 marks the trailing zero run.
+  struct Step {
+    uint16_t squarings;
+    uint8_t digit;
+  };
 
   MontgomeryContext ctx_;
   U256 exp_;
   int window_bits_;
-  size_t table_size_;            // 1 + max digit in the schedule
-  U256 mont_one_;                // ToMont(1), the table's 0th power
-  std::vector<uint8_t> digits_;  // window digits, most significant first
+  size_t table_size_;       // odd powers in the table: (max digit + 1) / 2
+  uint8_t top_digit_;       // the leading window's digit; 0 iff exp_ == 0
+  std::vector<Step> steps_;  // the later windows, most significant first
 };
 
 }  // namespace hsis::crypto

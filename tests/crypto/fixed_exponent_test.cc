@@ -1,4 +1,4 @@
-// Differential suite pinning `FixedExponentContext` (the fixed-window
+// Differential suite pinning `FixedExponentContext` (the sliding-window
 // Montgomery ladder behind `CommutativeCipher`) bit-identical to the
 // naive `MontgomeryContext::ModExp` ladder — random exponents,
 // adversarial exponent shapes (0, 1, 2^k, all-ones, q-1, n-2),
